@@ -296,22 +296,23 @@ def uniform_strategy(spec: GameSpec) -> tuple[np.ndarray, ...]:
     )
 
 
-def chain_diagnostics(spec: GameSpec, sigma) -> ChainDiagnostics:
+def chain_diagnostics(spec: GameSpec, sigma, *, pi: np.ndarray | None = None) -> ChainDiagnostics:
     """Regularity constants for the bound formulas.
 
     kappa is computed once on the uncoupled reference chain, which is
     strategy-independent (a uniform profile is used for construction).
     minimal_mass is per agent the smallest stationary (z_i, x_i) marginal
     under the supplied strategy; signal_ceiling is the largest entry of the
-    signal kernel.
+    signal kernel. A caller that already solved the coupled chain under
+    sigma passes its stationary vector as pi, which skips the rebuild.
     """
     ref = uncoupled_reference(spec)
     T_ref = build_joint_transition(ref, uniform_strategy(ref))
     kappa = meyer_condition_number(T_ref)
 
-    T = build_joint_transition(spec, sigma)
-    pi = stationary_distribution(T).pi
-    tensor = _state_tensor(pi, T.indexer)
+    if pi is None:
+        pi = stationary_distribution(build_joint_transition(spec, sigma)).pi
+    tensor = _state_tensor(pi, spec.indexer())
     masses = []
     ceilings = []
     for i, ag in enumerate(spec.agents):

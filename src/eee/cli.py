@@ -46,7 +46,6 @@ class RunConfig:
     tau: tuple[float, ...] | None
     tol: float
     max_iter: int
-    seed: int
     output_dir: str
 
     def __post_init__(self):
@@ -192,7 +191,6 @@ def cmd_run(args) -> int:
         tau=None if args.tau is None else tuple(args.tau),
         tol=args.tol,
         max_iter=args.max_iter,
-        seed=args.seed,
         output_dir=args.out or "",
     )
     spec = _load_spec(config.spec_path, config.alpha)
@@ -251,7 +249,7 @@ def cmd_sweep(args) -> int:
             config = RunConfig(
                 spec_path=args.spec, alpha=alpha, policy=args.policy,
                 tau=None if args.tau is None else tuple(args.tau),
-                tol=args.tol, max_iter=args.max_iter, seed=args.seed, output_dir=str(out),
+                tol=args.tol, max_iter=args.max_iter, output_dir=str(out),
             )
             trace, report = _run_iteration(spec, config)
             row["outcome"] = report.outcome
@@ -308,12 +306,18 @@ def cmd_bounds(args) -> int:
         diag_spec = _with_fallback_references(spec)
 
     xi = None
+    pi = None
     if args.sigma:
         sigma = learning.Strategy(probs=chain_analysis.strategy_arrays(
             _load_profile(args.sigma, "sigma"), spec))
         sigma_source = "supplied"
         if sigma.is_deterministic():
-            mu = chain_analysis.consistent_model(spec, sigma)
+            # one solve of the coupled chain serves both the model and the diagnostics;
+            # diag_spec differs from spec only in its uncoupled references. The matrix
+            # is dropped here so it does not add to the peak memory of kappa.
+            pi = chain_analysis.stationary_distribution(
+                chain_analysis.build_joint_transition(spec, sigma)).pi
+            mu = chain_analysis.model_from_stationary(spec, pi)
             q_fixed = learning.solve_q_fixed_point(spec, mu)
             xi = learning.margin(q_fixed, sigma)
     else:
@@ -323,7 +327,7 @@ def cmd_bounds(args) -> int:
         sigma = trace.final_sigma
         sigma_source = f"greedy-run-{report.outcome}"
         xi = learning.margin(trace.final_q, sigma)
-    diagnostics = chain_analysis.chain_diagnostics(diag_spec, sigma)
+    diagnostics = chain_analysis.chain_diagnostics(diag_spec, sigma, pi=pi)
     bounds = coupling_bounds.compute_bounds(spec, diagnostics, coupling, xi=xi)
     doc = {
         "coupling": {
@@ -456,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="softmax temperatures, one per agent (or one shared)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=10**4, dest="max_iter")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="run the dynamics across several blend weights")
@@ -466,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, nargs="+", default=None)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=10**4, dest="max_iter")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="check a (sigma, mu) pair for the equilibrium conditions")

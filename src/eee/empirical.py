@@ -207,19 +207,22 @@ def simulate(
             out_hist[t] = o
             state = int(nxt[state, o])
     else:
-        cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # rows filled on a state's first visit, held in two arrays rather than
+        # two small arrays per state, which would leave a fragmented heap behind
+        cum_rows = np.empty((n_states, n_out))
+        nxt_rows = np.empty((n_states, n_out), dtype=np.int64)
+        filled = np.zeros(n_states, dtype=bool)
         for t in range(horizon):
             psi_hist[t] = state
-            entry = cache.get(state)
-            if entry is None:
-                row = np.cumsum(_single_outcome_row(spec, probs, indexer.unflatten_state(state)))
-                entry = (row, next_row(state))
-                cache[state] = entry
-            o = int(np.searchsorted(entry[0], u[t], side="right"))
+            if not filled[state]:
+                cum_rows[state] = np.cumsum(_single_outcome_row(spec, probs, indexer.unflatten_state(state)))
+                nxt_rows[state] = next_row(state)
+                filled[state] = True
+            o = int(np.searchsorted(cum_rows[state], u[t], side="right"))
             if o >= n_out:
                 o = n_out - 1
             out_hist[t] = o
-            state = int(entry[1][o])
+            state = int(nxt_rows[state, o])
 
     visits = []
     counts = []

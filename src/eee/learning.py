@@ -223,6 +223,10 @@ def q_value_iteration(
     policy recurs at distance >= 2; softmax runs cycle when the current Q
     matches an earlier iterate within tol while the one-step distance is
     still at least tol.
+
+    Greedy runs solve each distinct policy's chain once: a one-hot policy is
+    determined by its argmax fingerprint, so a recurring policy reuses the
+    model of its first solve. Softmax runs solve the chain every iteration.
     """
     require_valid(spec)
     if tol <= 0:
@@ -237,6 +241,7 @@ def q_value_iteration(
     tau = rule.resolve_tau(spec) if rule.kind == "softmax" else None
     trace = IterationTrace(rule=rule)
     seen: dict[bytes, int] = {}
+    models: dict[bytes, ConsistentModel] = {}
     sigma_fp_history: list[tuple[bytes, ...]] = []
     q_flat_history: list[np.ndarray] = []
     greedy_fps: list[bytes] = [_greedy_fingerprint(q.tables)]
@@ -252,7 +257,7 @@ def q_value_iteration(
                 period = t - hit
                 agents = _varying_agents_q(q_flat_history + [q_flat], hit, t, agent_slices, tol)
                 sigma = softmax_policy(q, tau)
-                _record_terminal_step(trace, spec, t, q, sigma, prev_sigma)
+                _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, consistent_model(spec, sigma))
                 trace.final_q, trace.final_sigma = q, sigma
                 return trace, TerminationReport(
                     outcome="cycle", at_iter=t, residual=last_dq,
@@ -263,23 +268,24 @@ def q_value_iteration(
         sigma = greedy_policy(q) if rule.kind == "greedy" else softmax_policy(q, tau)
 
         if rule.kind == "greedy":
-            fp = b"|".join(_sigma_fingerprints(sigma))
-            sigma_fp_history.append(_sigma_fingerprints(sigma))
+            fps = _sigma_fingerprints(sigma)
+            fp = b"|".join(fps)
+            sigma_fp_history.append(fps)
             if fp in seen and t - seen[fp] >= 2:
                 first = seen[fp]
                 agents = _varying_agents_sigma(sigma_fp_history, first, t)
-                _record_terminal_step(trace, spec, t, q, sigma, prev_sigma)
+                _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, models[fp])
                 trace.final_q, trace.final_sigma = q, sigma
                 return trace, TerminationReport(
                     outcome="cycle", at_iter=t, residual=last_dq,
                     period=t - first, first_seen=first, cycling_agents=agents,
                 )
             seen[fp] = t
-
-        try:
-            mu = consistent_model(spec, sigma)
-        except VanishingMassError as exc:
-            raise VanishingMassError(f"iteration {t}: {exc}") from exc
+            if fp not in models:
+                models[fp] = _model_at(spec, sigma, t)
+            mu = models[fp]
+        else:
+            mu = _model_at(spec, sigma, t)
 
         q_next = bellman_update(q, mu, spec)
         dq = max_metric_q(q_next, q)
@@ -301,9 +307,15 @@ def q_value_iteration(
     return trace, TerminationReport(outcome="max_iter", at_iter=max_iter, residual=last_dq)
 
 
-def _record_terminal_step(trace, spec, t, q, sigma, prev_sigma) -> None:
+def _model_at(spec, sigma, t) -> ConsistentModel:
+    try:
+        return consistent_model(spec, sigma)
+    except VanishingMassError as exc:
+        raise VanishingMassError(f"iteration {t}: {exc}") from exc
+
+
+def _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, mu) -> None:
     """Record the recurrence step itself so trace scans can reproduce the cycle."""
-    mu = consistent_model(spec, sigma)
     dq = max_metric_q(bellman_update(q, mu, spec), q)
     dsigma = max_metric_strategy(sigma, prev_sigma) if prev_sigma is not None else math.nan
     trace.record(TraceStep(t=t, q=q, sigma=sigma, mu=mu, dq=dq, dsigma=dsigma), always=True)

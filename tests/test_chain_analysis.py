@@ -252,6 +252,17 @@ def test_example_diagnostics(ex1_spec):
     assert all(m > 0.0 for m in diag.minimal_mass)
 
 
+def test_diagnostics_with_supplied_pi_match_a_fresh_solve(ex1_spec):
+    cases = [(ex1_spec, sigma_star(ex1_spec))]
+    for seed in range(6):
+        spec = random_game(seed, n_agents=2 + seed % 2, max_dim=2)
+        rng = np.random.default_rng(seed)
+        cases.append((spec, random_strategy(rng, spec, deterministic=seed % 2 == 0)))
+    for spec, sigma in cases:
+        pi = stationary_distribution(build_joint_transition(spec, sigma)).pi
+        assert chain_diagnostics(spec, sigma, pi=pi) == chain_diagnostics(spec, sigma)
+
+
 def test_uniform_game_minimal_mass():
     rng = np.random.default_rng(8)
     agents = []

@@ -3,16 +3,22 @@
 import csv
 import json
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eee.cli import main
+from eee import chain_analysis, learning
+from eee.cli import _load_spec, main
 from eee.game_model import example1_path
 
+from conftest import sigma_star
+
 SPEC = str(example1_path())
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SIGMA_STAR = {
     "sigma": [
@@ -193,6 +199,35 @@ def test_bounds_lambda_scales_with_alpha(tmp_path):
     assert d9["rho_certified"] is False
 
 
+def test_bounds_with_a_fixed_strategy_builds_each_chain_once(tmp_path, monkeypatch):
+    built = []
+    real_build = chain_analysis.build_joint_transition
+
+    def spy(spec, sigma):
+        built.append(spec)
+        return real_build(spec, sigma)
+
+    monkeypatch.setattr(chain_analysis, "build_joint_transition", spy)
+    sigma = write_json(tmp_path / "sigma.json", SIGMA_STAR)
+    out = tmp_path / "b"
+    assert main(["bounds", SPEC, "--alpha", "0.9", "--sigma", sigma, "--out", str(out)]) == 0
+    assert len(built) == 2  # the uncoupled reference, then the coupled chain
+    doc = json.loads((out / "bounds.json").read_text())
+    monkeypatch.undo()
+    # oracle: the two-solve path, diagnostics and margins compared exactly
+    spec = _load_spec(SPEC, 0.9)
+    star = learning.Strategy(probs=tuple(sigma_star(spec)))
+    fresh = chain_analysis.chain_diagnostics(spec, star)
+    assert doc["diagnostics"] == {
+        "kappa": fresh.kappa,
+        "minimal_mass": list(fresh.minimal_mass),
+        "signal_ceiling": list(fresh.signal_ceiling),
+    }
+    mu = chain_analysis.consistent_model(spec, star)
+    xi = learning.margin(learning.solve_q_fixed_point(spec, mu), star)
+    assert doc["inputs"]["xi"] == list(xi)
+
+
 def test_bounds_needs_references_unless_told_otherwise(tmp_path, capsys):
     doc = json.loads(open(SPEC).read())
     del doc["uncoupled_env"]
@@ -239,9 +274,11 @@ def test_simulate_is_deterministic_per_seed(tmp_path):
 
 
 def test_module_entry_point_runs(tmp_path):
+    # the subprocess runs elsewhere, so a relative PYTHONPATH would not find the package
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "eee", "validate", SPEC],
-        capture_output=True, text=True, cwd=tmp_path,
+        capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "ok"

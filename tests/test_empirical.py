@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eee import empirical
 from eee.chain_analysis import consistent_model
 from eee.empirical import (
     Trajectory,
@@ -12,7 +13,7 @@ from eee.empirical import (
 )
 from eee.game_model import AgentSpec, GameSpec, SpecError
 
-from conftest import sigma_star
+from conftest import random_game, random_strategy, sigma_star
 
 
 def deterministic_flip_game():
@@ -39,6 +40,22 @@ def test_simulation_is_deterministic_per_seed(ex1_spec):
     assert a.records == b.records
     c = simulate(ex1_spec, sigma, horizon=2000, seed=13, burn_in=100)
     assert any(not np.array_equal(x, y) for x, y in zip(a.signal_counts, c.signal_counts))
+
+
+def test_per_state_rows_match_the_outcome_table(ex1_spec, monkeypatch):
+    # the table path is the reference: both paths invert the same CDF rows
+    rng = np.random.default_rng(5)
+    cases = [(ex1_spec, sigma_star(ex1_spec))]
+    for seed in range(3):
+        spec = random_game(seed, n_agents=2 + seed % 2, max_dim=2)
+        cases.append((spec, random_strategy(rng, spec)))
+    for spec, sigma in cases:
+        table = simulate(spec, sigma, horizon=3000, seed=4, burn_in=100)
+        monkeypatch.setattr(empirical, "TABLE_ENTRY_LIMIT", 0)
+        rows = simulate(spec, sigma, horizon=3000, seed=4, burn_in=100)
+        monkeypatch.undo()
+        assert rows.records == table.records
+        assert all(np.array_equal(a, b) for a, b in zip(rows.signal_counts, table.signal_counts))
 
 
 def test_empty_window_counts_nothing(ex1_spec):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from eee import learning
 from eee.chain_analysis import ConsistentModel, consistent_model
 from eee.game_model import AgentSpec, GameSpec, SpecError
 from eee.learning import (
@@ -337,3 +338,56 @@ def test_warm_start_from_fixed_point_converges_fast(ex1_spec, ex1_greedy_run):
     _, report = q_value_iteration(ex1_spec, PolicyRule("greedy"), q0=trace.final_q)
     assert report.outcome == "converged"
     assert report.at_iter <= 5
+
+
+def _spy_models(monkeypatch):
+    """Record the greedy fingerprint of every chain solve q_value_iteration makes."""
+    calls = []
+
+    def spy(spec, sigma):
+        calls.append(_fingerprint(sigma))
+        return consistent_model(spec, sigma)
+
+    monkeypatch.setattr(learning, "consistent_model", spy)
+    return calls
+
+
+def _fingerprint(sigma):
+    return b"|".join(np.argmax(p, axis=-1).tobytes() for p in sigma.probs)
+
+
+MEMO_GAMES = [("ex1", 0.9), ("ex1", 1.0)] + [
+    (seed, 2 + seed % 2) for seed in range(12)
+]
+
+
+@pytest.mark.parametrize("game", MEMO_GAMES, ids=[f"{a}-{b}" for a, b in MEMO_GAMES])
+def test_greedy_memo_matches_fresh_solves(game, ex1_family, monkeypatch):
+    # oracle: every recorded model equals, bit for bit, a fresh solve of its policy
+    name, arg = game
+    if name == "ex1":
+        spec = ex1_family.at(arg)
+    else:
+        spec = random_game(name, n_agents=arg, max_dim=3 if arg == 2 else 2)
+    calls = _spy_models(monkeypatch)
+    trace, _ = q_value_iteration(spec, PolicyRule("greedy"), tol=1e-9)
+    for step in trace.steps:
+        fresh = consistent_model(spec, step.sigma)
+        assert all(np.array_equal(m, f) for m, f in zip(step.mu.mu, fresh.mu))
+    distinct = {_fingerprint(step.sigma) for step in trace.steps}
+    assert len(calls) == len(set(calls)) == len(distinct)
+    assert len(distinct) < len(trace.steps)
+
+
+def test_greedy_memo_serves_the_cycle_step(ex1_family):
+    trace, report = q_value_iteration(ex1_family.at(1.0), PolicyRule("greedy"), tol=1e-9)
+    assert report.outcome == "cycle"
+    first = next(s for s in trace.steps if s.t == report.first_seen)
+    assert trace.steps[-1].mu is first.mu
+
+
+def test_softmax_runs_solve_every_iteration(ex1_spec, monkeypatch):
+    calls = _spy_models(monkeypatch)
+    trace, report = q_value_iteration(ex1_spec, PolicyRule("softmax"), tol=1e-9)
+    assert report.outcome == "converged"
+    assert len(calls) == len(trace.steps) == len(trace.dq_history)
