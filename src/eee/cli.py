@@ -195,6 +195,7 @@ def cmd_run(args) -> int:
     )
     spec = _load_spec(config.spec_path, config.alpha)
     out = _output_dir(args.out, "run")
+    config = dataclasses.replace(config, output_dir=str(out))
     log.info("running %s policy on %s (alpha=%s)", config.policy, config.spec_path, config.alpha)
     trace, report = _run_iteration(spec, config)
     log.info("outcome %s at iteration %d (residual %.3e)", report.outcome, report.at_iter, report.residual)

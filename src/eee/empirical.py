@@ -11,12 +11,12 @@ Reproducibility: the generator is numpy's default_rng (PCG64). The stream is
 consumed in a fixed documented order: one integer for the uniform initial
 joint state, then one uniform per step; each step is resolved by inverse CDF
 over the full outcome row (joint action, signals, next local states, next
-environment state) in lexicographic C order.
+environment state) in lexicographic C order. A state's row is built on its
+first visit, and its cumulative sums are divided by their last entry.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,6 @@ RNG_ALGORITHM = (
     "uniform per step resolved by inverse CDF over outcomes ordered "
     "(joint action, signals, next local states, next environment), lexicographic C order"
 )
-TABLE_ENTRY_LIMIT = 5 * 10**6
 RECORD_HORIZON_LIMIT = 10**5
 
 
@@ -76,63 +75,27 @@ def _outcome_dims(spec: GameSpec) -> tuple[int, ...]:
     )
 
 
-def _outcome_block(spec: GameSpec, probs, w_sel, z_sel, x_sel) -> np.ndarray:
-    """Joint outcome probabilities for the selected state slices.
+def _outcome_row(spec: GameSpec, probs, psi: tuple[int, ...]) -> np.ndarray:
+    """Outcome probabilities of the joint state psi = (w, z, x), in outcome order.
 
-    Returns an array over (w, z_1..z_n, x_1..x_n, k, s_1..s_n, X_1..X_n,
-    w_next) where k runs over joint actions; selections are index arrays or
-    slices applied per component.
+    The environment row, shaped (A_1..A_n, 1.., W'), is multiplied by one
+    broadcast factor per agent, h_i[a_i, s_i, x'_i] = sigma_i[z_i, x_i, a_i]
+    * M_i[w, s_i] * L_i[a_i, x_i, s_i, x'_i], placed on the agent's action,
+    signal and next-local-state axes.
     """
     n = spec.n_agents
-    letters = string.ascii_lowercase + string.ascii_uppercase
-    if 2 + 4 * n > len(letters):
-        raise SpecError("too many agents for the outcome builder")
-    w, wn = letters[0], letters[1]
-    z = [letters[2 + 4 * i] for i in range(n)]
-    x = [letters[3 + 4 * i] for i in range(n)]
-    s = [letters[4 + 4 * i] for i in range(n)]
-    xn = [letters[5 + 4 * i] for i in range(n)]
-    subs = [w + wn]
-    for i in range(n):
-        subs.append(z[i] + x[i])
-        subs.append(w + s[i])
-        subs.append(x[i] + s[i] + xn[i])
-    out = w + "".join(z) + "".join(x) + "".join(s) + "".join(xn) + wn
-    expr = ",".join(subs) + "->" + out
-
-    terms = []
-    for k, a in enumerate(spec.joint_actions()):
-        operands = [spec.env_kernels[k][w_sel]]
-        for i, (ai, ag) in enumerate(zip(a, spec.agents)):
-            operands.append(probs[i][z_sel[i]][:, x_sel[i], ai])
-            operands.append(ag.signal_kernel[w_sel])
-            operands.append(ag.local_kernels_4d[ai][x_sel[i]])
-        terms.append(np.einsum(expr, *operands, optimize=True))
-    return np.stack(terms, axis=1 + 2 * n)
-
-
-def _full_outcome_table(spec: GameSpec, probs) -> np.ndarray:
-    n = spec.n_agents
-    w_sel = slice(None)
-    z_sel = [slice(None)] * n
-    x_sel = [slice(None)] * n
-    block = _outcome_block(spec, probs, w_sel, z_sel, x_sel)
-    indexer = spec.indexer()
-    n_out = int(np.prod(_outcome_dims(spec)))
-    return block.reshape(indexer.n_states, n_out)
-
-
-def _single_outcome_row(spec: GameSpec, probs, psi: tuple[int, ...]) -> np.ndarray:
-    n = spec.n_agents
     w, zs, xs = psi[0], psi[1 : 1 + n], psi[1 + n :]
-    block = _outcome_block(
-        spec,
-        probs,
-        np.array([w]),
-        [np.array([zi]) for zi in zs],
-        [np.array([xi]) for xi in xs],
-    )
-    return block.ravel()
+    row = spec.env_kernels[:, w, :].reshape(*spec.action_dims, *(1,) * (2 * n), spec.n_env)
+    for i, ag in enumerate(spec.agents):
+        h = (
+            probs[i][zs[i], xs[i], :, None, None]
+            * ag.signal_kernel[w, None, :, None]
+            * ag.local_kernels_4d[:, xs[i]]
+        )
+        shape = [1] * (3 * n + 1)
+        shape[i], shape[n + i], shape[2 * n + i] = h.shape
+        row = row * h.reshape(shape)
+    return row.ravel()
 
 
 def _state_components(spec: GameSpec):
@@ -192,37 +155,24 @@ def simulate(
     psi_hist = np.empty(horizon, dtype=np.int64)
     out_hist = np.empty(horizon, dtype=np.int64)
 
-    use_table = n_states * n_out <= TABLE_ENTRY_LIMIT
-    if use_table:
-        table = _full_outcome_table(spec, probs)
-        cum = np.cumsum(table, axis=1)
-        nxt = np.empty((n_states, n_out), dtype=np.int64)
-        for psi in range(n_states):
-            nxt[psi] = next_row(psi)
-        for t in range(horizon):
-            psi_hist[t] = state
-            o = int(np.searchsorted(cum[state], u[t], side="right"))
-            if o >= n_out:
-                o = n_out - 1
-            out_hist[t] = o
-            state = int(nxt[state, o])
-    else:
-        # rows filled on a state's first visit, held in two arrays rather than
-        # two small arrays per state, which would leave a fragmented heap behind
-        cum_rows = np.empty((n_states, n_out))
-        nxt_rows = np.empty((n_states, n_out), dtype=np.int64)
-        filled = np.zeros(n_states, dtype=bool)
-        for t in range(horizon):
-            psi_hist[t] = state
-            if not filled[state]:
-                cum_rows[state] = np.cumsum(_single_outcome_row(spec, probs, indexer.unflatten_state(state)))
-                nxt_rows[state] = next_row(state)
-                filled[state] = True
-            o = int(np.searchsorted(cum_rows[state], u[t], side="right"))
-            if o >= n_out:
-                o = n_out - 1
-            out_hist[t] = o
-            state = int(nxt_rows[state, o])
+    # rows filled on a state's first visit, held in two arrays rather than two
+    # small arrays per state, which would leave a fragmented heap behind. Each
+    # cumulative row is divided by its last entry, so the last outcome of
+    # positive probability ends at exactly 1.0 and no uniform in [0, 1) can
+    # land on a zero-probability outcome past it.
+    cum_rows = np.empty((n_states, n_out))
+    nxt_rows = np.empty((n_states, n_out), dtype=np.int64)
+    filled = np.zeros(n_states, dtype=bool)
+    for t in range(horizon):
+        psi_hist[t] = state
+        if not filled[state]:
+            cum = np.cumsum(_outcome_row(spec, probs, indexer.unflatten_state(state)))
+            cum_rows[state] = cum / cum[-1]
+            nxt_rows[state] = next_row(state)
+            filled[state] = True
+        o = int(np.searchsorted(cum_rows[state], u[t], side="right"))
+        out_hist[t] = o
+        state = int(nxt_rows[state, o])
 
     visits = []
     counts = []

@@ -246,7 +246,7 @@ def q_value_iteration(
     q_flat_history: list[np.ndarray] = []
     greedy_fps: list[bytes] = [_greedy_fingerprint(q.tables)]
     prev_sigma: Strategy | None = None
-    agent_slices = _agent_flat_slices(spec)
+    agent_slices = _agent_flat_slices(q.tables)
 
     last_dq = math.inf
     for t in range(max_iter):
@@ -321,8 +321,8 @@ def _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, mu) -> None:
     trace.record(TraceStep(t=t, q=q, sigma=sigma, mu=mu, dq=dq, dsigma=dsigma), always=True)
 
 
-def _agent_flat_slices(spec: GameSpec) -> list[slice]:
-    sizes = [ag.n_memory * ag.n_states * ag.n_actions for ag in spec.agents]
+def _agent_flat_slices(tables) -> list[slice]:
+    sizes = [t.size for t in tables]
     offs = np.concatenate([[0], np.cumsum(sizes)])
     return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(sizes))]
 
@@ -379,7 +379,9 @@ def detect_cycle(trace: IterationTrace, tol: float = 1e-9) -> TerminationReport 
     Greedy traces cycle on an exact recurring policy at distance >= 2;
     softmax traces cycle on a Q recurrence within tol while the step
     distance is still at least tol. Returns None when no cycle is present.
-    Thinned traces (beyond the retention cap) are scanned as recorded.
+    As in the live report, the residual is the step distance recorded just
+    before the recurrence. Thinned traces (beyond the retention cap) are
+    scanned as recorded.
     """
     steps = trace.steps
     if not steps:
@@ -387,22 +389,23 @@ def detect_cycle(trace: IterationTrace, tol: float = 1e-9) -> TerminationReport 
     if trace.rule.kind == "greedy":
         seen: dict[bytes, int] = {}
         history = []
-        for step in steps:
+        for k, step in enumerate(steps):
             fps = _sigma_fingerprints(step.sigma)
             history.append(fps)
             fp = b"|".join(fps)
             if fp in seen and step.t - seen[fp] >= 2:
                 first = seen[fp]
-                first_pos = next(k for k, s in enumerate(steps) if s.t == first)
-                agents = _varying_agents_sigma(history, first_pos, len(history) - 1)
+                first_pos = next(j for j, s in enumerate(steps) if s.t == first)
+                agents = _varying_agents_sigma(history, first_pos, k)
                 return TerminationReport(
-                    outcome="cycle", at_iter=step.t, residual=step.dq,
+                    outcome="cycle", at_iter=step.t, residual=steps[k - 1].dq,
                     period=step.t - first, first_seen=first, cycling_agents=agents,
                 )
             seen[fp] = step.t
         return None
     flats = [step.q.flat() for step in steps]
     dqs = [step.dq for step in steps]
+    agent_slices = _agent_flat_slices(steps[0].q.tables)
     for k in range(4, len(steps)):
         t = steps[k].t
         hit = _softmax_cycle_scan(flats[k], flats[:k], dqs[:k], tol)
@@ -410,6 +413,7 @@ def detect_cycle(trace: IterationTrace, tol: float = 1e-9) -> TerminationReport 
             return TerminationReport(
                 outcome="cycle", at_iter=t, residual=dqs[k - 1],
                 period=t - steps[hit].t, first_seen=steps[hit].t,
+                cycling_agents=_varying_agents_q(flats, hit, k, agent_slices, tol),
             )
     return None
 

@@ -113,6 +113,14 @@ def test_run_iteration_cap_has_its_own_exit_code(tmp_path):
                  "--out", str(tmp_path / "m")]) == 4
 
 
+def test_run_without_out_records_the_default_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", SPEC, "--alpha", "0.9", "--max-iter", "3"]) == 4
+    (out,) = (tmp_path / "out").iterdir()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["output_dir"] == str(out.relative_to(tmp_path))
+
+
 def test_run_rejects_bad_controls(tmp_path, capsys):
     assert main(["run", SPEC, "--tol", "-1", "--out", str(tmp_path / "x")]) == 1
     assert main(["run", SPEC, "--alpha", "1.5", "--out", str(tmp_path / "y")]) == 1

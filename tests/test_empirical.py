@@ -1,17 +1,19 @@
 """Monte Carlo sampling, empirical frequencies, and exact-model comparison."""
 
+import string
+
 import numpy as np
 import pytest
 
 from eee import empirical
-from eee.chain_analysis import consistent_model
+from eee.chain_analysis import consistent_model, strategy_arrays
 from eee.empirical import (
     Trajectory,
     compare_models,
     empirical_model,
     simulate,
 )
-from eee.game_model import AgentSpec, GameSpec, SpecError
+from eee.game_model import AgentSpec, GameSpec, SpecError, build_example1
 
 from conftest import random_game, random_strategy, sigma_star
 
@@ -42,20 +44,133 @@ def test_simulation_is_deterministic_per_seed(ex1_spec):
     assert any(not np.array_equal(x, y) for x, y in zip(a.signal_counts, c.signal_counts))
 
 
-def test_per_state_rows_match_the_outcome_table(ex1_spec, monkeypatch):
-    # the table path is the reference: both paths invert the same CDF rows
+def oracle_outcome_table(spec, probs) -> np.ndarray:
+    """Every joint state's outcome row from one einsum per joint action.
+
+    Rows are indexed by flat joint state; columns run over (joint action,
+    signals, next local states, next environment) in C order.
+    """
+    n = spec.n_agents
+    letters = string.ascii_lowercase + string.ascii_uppercase
+    w, wn = letters[0], letters[1]
+    z = [letters[2 + 4 * i] for i in range(n)]
+    x = [letters[3 + 4 * i] for i in range(n)]
+    s = [letters[4 + 4 * i] for i in range(n)]
+    xn = [letters[5 + 4 * i] for i in range(n)]
+    subs = [w + wn]
+    for i in range(n):
+        subs += [z[i] + x[i], w + s[i], x[i] + s[i] + xn[i]]
+    out = w + "".join(z) + "".join(x) + "".join(s) + "".join(xn) + wn
+    expr = ",".join(subs) + "->" + out
+    terms = []
+    for k, a in enumerate(spec.joint_actions()):
+        operands = [spec.env_kernels[k]]
+        for i, (ai, ag) in enumerate(zip(a, spec.agents)):
+            operands += [probs[i][:, :, ai], ag.signal_kernel, ag.local_kernels_4d[ai]]
+        terms.append(np.einsum(expr, *operands, optimize=True))
+    block = np.stack(terms, axis=1 + 2 * n)
+    return block.reshape(spec.indexer().n_states, -1)
+
+
+def oracle_records(spec, sigma, horizon, seed):
+    """Per-step records of the documented stream, sampled from the oracle table."""
+    probs = strategy_arrays(sigma, spec)
+    indexer = spec.indexer()
+    n = spec.n_agents
+    cum = np.cumsum(oracle_outcome_table(spec, probs), axis=1)
+    cum /= cum[:, -1:]
+    dims = (
+        spec.n_joint_actions,
+        *(ag.n_signals for ag in spec.agents),
+        *(ag.n_states for ag in spec.agents),
+        spec.n_env,
+    )
+    rng = np.random.default_rng(seed)
+    state = int(rng.integers(indexer.n_states))
+    records = []
+    for u in rng.random(horizon):
+        w, z, x = indexer.split_state(indexer.unflatten_state(state))
+        k, *rest = (int(v) for v in np.unravel_index(np.searchsorted(cum[state], u, side="right"), dims))
+        s, x_next, w_next = tuple(rest[:n]), tuple(rest[n : 2 * n]), rest[2 * n]
+        records.append((w, z, x, indexer.unflatten_action(k), s))
+        z_next = tuple(int(ag.memory_rule[z[i], s[i]]) for i, ag in enumerate(spec.agents))
+        state = indexer.flatten_state((w_next, *z_next, *x_next))
+    return records
+
+
+def oracle_cases():
     rng = np.random.default_rng(5)
-    cases = [(ex1_spec, sigma_star(ex1_spec))]
-    for seed in range(3):
-        spec = random_game(seed, n_agents=2 + seed % 2, max_dim=2)
+    spec = build_example1().at()
+    cases = [(spec, sigma_star(spec))]
+    for seed in range(6):
+        spec = random_game(seed, n_agents=1 + seed % 3, max_dim=2 if seed % 3 == 2 else 3)
         cases.append((spec, random_strategy(rng, spec)))
-    for spec, sigma in cases:
-        table = simulate(spec, sigma, horizon=3000, seed=4, burn_in=100)
-        monkeypatch.setattr(empirical, "TABLE_ENTRY_LIMIT", 0)
-        rows = simulate(spec, sigma, horizon=3000, seed=4, burn_in=100)
-        monkeypatch.undo()
-        assert rows.records == table.records
-        assert all(np.array_equal(a, b) for a, b in zip(rows.signal_counts, table.signal_counts))
+    return cases
+
+
+def test_factored_rows_match_the_einsum_oracle():
+    for spec, sigma in oracle_cases():
+        probs = strategy_arrays(sigma, spec)
+        table = oracle_outcome_table(spec, probs)
+        indexer = spec.indexer()
+        for psi in range(indexer.n_states):
+            row = empirical._outcome_row(spec, probs, indexer.unflatten_state(psi))
+            assert row.shape == table[psi].shape
+            assert np.max(np.abs(row - table[psi])) <= 1e-15
+
+
+def test_records_match_the_oracle_sampler():
+    for spec, sigma in oracle_cases():
+        traj = simulate(spec, sigma, horizon=3000, seed=4, burn_in=100)
+        assert traj.records == oracle_records(spec, sigma, horizon=3000, seed=4)
+
+
+def test_example_counts_are_pinned(ex1_spec):
+    # the documented stream on the bundled example; a change here changes the stream
+    traj = simulate(ex1_spec, sigma_star(ex1_spec), horizon=3000, seed=4, burn_in=100)
+    assert traj.signal_counts[0].tolist() == [[[611, 347], [538, 262]], [[290, 283], [319, 250]]]
+    assert traj.signal_counts[1].tolist() == [[[561, 278], [586, 344]], [[373, 313], [248, 197]]]
+
+
+def test_largest_uniform_never_lands_on_a_zero_probability_outcome(ex1_spec, monkeypatch):
+    # state 0's row sums to 0.9999999999999998 under sigma*, below the largest
+    # uniform; inverse CDF over the raw cumulative row would run off its end
+    class LargestUniform:
+        def __init__(self, seed):
+            pass
+
+        def integers(self, n):
+            return 0
+
+        def random(self, size):
+            return np.full(size, np.nextafter(1.0, 0.0))
+
+    monkeypatch.setattr(np.random, "default_rng", LargestUniform)
+    traj = simulate(ex1_spec, sigma_star(ex1_spec), horizon=50, seed=0, burn_in=0)
+    monkeypatch.undo()
+    assert traj.records[0][:3] == (0, (0, 0), (0, 0))
+    assert {rec[3] for rec in traj.records} == {(1, 0)}
+
+
+def test_thirteen_agents_simulate():
+    # one local state, one action, two signals each: 2 joint states, 2**14 outcomes
+    ag = AgentSpec(
+        n_states=1, n_actions=1, n_signals=2, n_memory=1,
+        signal_kernel=np.array([[0.75, 0.25], [0.25, 0.75]]),
+        local_kernels=np.ones((1, 2, 1)),
+        memory_rule=np.zeros((1, 2), dtype=int),
+        reward=np.zeros((1, 1, 2)),
+        discount=0.5,
+    )
+    env = np.array([[[0.5, 0.5], [0.5, 0.5]]])
+    spec = GameSpec(n_env=2, env_kernels=env, agents=(ag,) * 13)
+    sigma = [np.ones((1, 1, 1))] * 13
+    traj = simulate(spec, sigma, horizon=2000, seed=1, burn_in=0)
+    assert len(traj.records) == 2000
+    for v, c in zip(traj.visits, traj.signal_counts):
+        assert v.tolist() == [[2000]]
+        # each signal is 0.75 / 0.25 given w, and w is uniform
+        assert abs(c[0, 0, 0] / 2000 - 0.5) < 0.05
 
 
 def test_empty_window_counts_nothing(ex1_spec):

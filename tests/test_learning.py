@@ -233,6 +233,27 @@ def test_detect_cycle_ignores_constant_policies():
     assert detect_cycle(trace) is None
 
 
+def test_detect_cycle_reproduces_the_live_report(ex1_family):
+    spec = ex1_family.at(1.0)
+    for rule in (PolicyRule("greedy"), PolicyRule("softmax", tau=1.0)):
+        trace, report = q_value_iteration(spec, rule, max_iter=500)
+        assert report.outcome == "cycle"
+        assert detect_cycle(trace) == report
+
+
+def test_detect_cycle_names_the_varying_softmax_agent():
+    # agent 1's table alternates between two values; agent 2's stays put
+    trace = IterationTrace(rule=PolicyRule("softmax"))
+    mu = ConsistentModel(mu=(np.full((1, 1, 2), 0.5), np.full((1, 2, 2), 0.5)))
+    for t in range(6):
+        q = QTable(tables=(np.full((1, 1, 2), float(t % 2)), np.ones((1, 2, 2))))
+        trace.record(TraceStep(t=t, q=q, sigma=softmax_policy(q, 1.0), mu=mu, dq=1.0, dsigma=0.0))
+    report = detect_cycle(trace)
+    assert report is not None
+    assert (report.period, report.first_seen, report.at_iter) == (2, 2, 4)
+    assert report.cycling_agents == (1,)
+
+
 def test_detect_cycle_requires_steps():
     with pytest.raises(SpecError, match="empty"):
         detect_cycle(IterationTrace(rule=PolicyRule("greedy")))
