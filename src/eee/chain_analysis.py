@@ -9,7 +9,6 @@ stationary mass per (z_i, x_i), and the largest signal probability.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -24,6 +23,7 @@ MASS_FLOOR = 1e-12
 SOLVER_TOL = 1e-12
 POWER_ITER_CAP = 10**6
 MAX_JOINT_STATES = 10**6
+MAX_AGENTS = 15
 
 
 class StationaryError(RuntimeError):
@@ -119,43 +119,53 @@ def agent_step_factors(spec: GameSpec) -> list[np.ndarray]:
     return factors
 
 
+def place_factor(factor: np.ndarray, ndim: int, axes: tuple[int, ...]) -> np.ndarray:
+    """View factor with its axes at the given increasing positions of an
+    ndim-axis broadcast shape; every other axis has length 1."""
+    shape = [1] * ndim
+    for ax, d in zip(axes, factor.shape):
+        shape[ax] = d
+    return factor.reshape(shape)
+
+
 def build_joint_transition(spec: GameSpec, sigma) -> JointTransition:
     """Dense transition matrix over joint states (w, z_1..z_n, x_1..x_n).
 
     Entry (psi, psi_next) averages, over the joint action drawn from the
     product strategy at (z, x), the environment kernel times each agent's
     signal-averaged local step. Joint states are flattened in indexer order.
+
+    Each operand is broadcast on its axes of the (w, z, x, w', z', x') tensor.
+    Per joint action k, in storage order, every entry is the product
+    F_n[a_n] * sigma_n[a_n] * ... * F_1[a_1] * sigma_1[a_1] * env_k, taken
+    left to right from 1.0, and is then added to the sum. That is the order
+    in which np.einsum multiplies the same operands (one step, operands last
+    first), so the matrix equals the einsum builder's bit for bit. Keep it:
+    the condition number of a reducible reference chain is rounding noise and
+    moves with the last bit of the matrix. numpy arrays have at most 64 axes
+    and the tensor has 2 + 4n, which caps n at MAX_AGENTS.
     """
+    n_ag = spec.n_agents
+    if n_ag > MAX_AGENTS:
+        raise SpecError(f"{n_ag} agents, above the limit of {MAX_AGENTS} for the dense joint builder")
     indexer = spec.indexer()
     n = indexer.n_states
     if n > MAX_JOINT_STATES:
         raise SpecError(f"joint state space has {n} states, above the dense limit {MAX_JOINT_STATES}")
     probs = strategy_arrays(sigma, spec)
     factors = agent_step_factors(spec)
-    n_ag = spec.n_agents
 
-    letters = string.ascii_lowercase + string.ascii_uppercase
-    if 2 + 4 * n_ag > len(letters):
-        raise SpecError("too many agents for the dense joint builder")
-    w, wn = letters[0], letters[1]
-    z = [letters[2 + 4 * i] for i in range(n_ag)]
-    x = [letters[3 + 4 * i] for i in range(n_ag)]
-    zn = [letters[4 + 4 * i] for i in range(n_ag)]
-    xn = [letters[5 + 4 * i] for i in range(n_ag)]
-    subs = [w + wn]
-    for i in range(n_ag):
-        subs.append(z[i] + x[i])              # strategy weight at (z_i, x_i)
-        subs.append(w + z[i] + x[i] + zn[i] + xn[i])
-    out = w + "".join(z) + "".join(x) + wn + "".join(zn) + "".join(xn)
-    expr = ",".join(subs) + "->" + out
-
+    ndim = 2 + 4 * n_ag
+    w, wn = 0, 1 + 2 * n_ag
     big = np.zeros(indexer.state_dims + indexer.state_dims)
     for k, a in enumerate(spec.joint_actions()):
-        operands = [spec.env_kernels[k]]
-        for i, ai in enumerate(a):
-            operands.append(probs[i][:, :, ai])
-            operands.append(factors[i][ai])
-        big += np.einsum(expr, *operands, optimize=True)
+        term = 1.0
+        for i in reversed(range(n_ag)):
+            z, x = 1 + i, 1 + n_ag + i
+            zn, xn = wn + 1 + i, wn + 1 + n_ag + i
+            term = term * place_factor(factors[i][a[i]], ndim, (w, z, x, zn, xn))
+            term = term * place_factor(probs[i][:, :, a[i]], ndim, (z, x))
+        big += term * place_factor(spec.env_kernels[k], ndim, (w, wn))
     return JointTransition(indexer=indexer, matrix=big.reshape(n, n))
 
 

@@ -300,11 +300,7 @@ def cmd_bounds(args) -> int:
     spec = _load_spec(args.spec, args.alpha)
     out = _output_dir(args.out, "bounds")
     coupling = coupling_bounds.coupling_value(spec, allow_fallback=args.allow_fallback)
-    diag_spec = spec
-    if args.allow_fallback and (
-        spec.uncoupled_env is None or any(ag.uncoupled_local is None for ag in spec.agents)
-    ):
-        diag_spec = _with_fallback_references(spec)
+    diag_spec, _ = coupling_bounds.with_references(spec, allow_fallback=args.allow_fallback)
 
     xi = None
     pi = None
@@ -357,16 +353,6 @@ def cmd_bounds(args) -> int:
     print(f"lambda={coupling.lam} rho={bounds.rho} certified={bounds.rho_certified}")
     print(f"wrote {out / 'bounds.json'}")
     return EXIT_OK
-
-
-def _with_fallback_references(spec: GameSpec) -> GameSpec:
-    env_u = spec.env_kernels.mean(axis=0) if spec.uncoupled_env is None else spec.uncoupled_env
-    agents = []
-    for ag in spec.agents:
-        ref = ag.local_kernels.mean(axis=0) if ag.uncoupled_local is None else ag.uncoupled_local
-        agents.append(dataclasses.replace(ag, uncoupled_local=ref))
-    return GameSpec(n_env=spec.n_env, env_kernels=spec.env_kernels,
-                    agents=tuple(agents), uncoupled_env=env_u)
 
 
 def _sanitize(obj):

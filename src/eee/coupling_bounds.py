@@ -12,7 +12,7 @@ sufficient margin condition for greedy convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,30 @@ class CouplingReport:
         return max(self.eps_varphi)
 
 
+def with_references(spec: GameSpec, allow_fallback: bool = False) -> tuple[GameSpec, str]:
+    """The spec with every uncoupled reference kernel present, and their source.
+
+    A spec with all references supplied comes back as is, from "supplied". A
+    missing reference raises SpecError unless allow_fallback is set; then the
+    action average of the coupled kernels stands in for each missing one.
+    """
+    missing = ["uncoupled environment kernel"] * (spec.uncoupled_env is None) + [
+        f"agent {i + 1} uncoupled local kernel"
+        for i, ag in enumerate(spec.agents)
+        if ag.uncoupled_local is None
+    ]
+    if not missing:
+        return spec, "supplied"
+    if not allow_fallback:
+        raise SpecError(f"{missing[0]} missing; enable the fallback to use the action average")
+    env_u = spec.env_kernels.mean(axis=0) if spec.uncoupled_env is None else spec.uncoupled_env
+    agents = tuple(
+        replace(ag, uncoupled_local=ag.local_kernels.mean(axis=0)) if ag.uncoupled_local is None else ag
+        for ag in spec.agents
+    )
+    return replace(spec, agents=agents, uncoupled_env=env_u), "fallback"
+
+
 def coupling_value(spec: GameSpec, allow_fallback: bool = False) -> CouplingReport:
     """Distance of the game's kernels from an action-independent reference.
 
@@ -48,37 +72,20 @@ def coupling_value(spec: GameSpec, allow_fallback: bool = False) -> CouplingRepo
     Without supplied uncoupled kernels the action average serves as the
     reference when allow_fallback is set; the report discloses which was used.
     """
-    fell_back = False
-    phi_u = spec.uncoupled_env
-    if phi_u is None:
-        if not allow_fallback:
-            raise SpecError(
-                "uncoupled environment kernel missing; enable the fallback to use the action average"
-            )
-        phi_u = spec.env_kernels.mean(axis=0)
-        fell_back = True
-    eps_phi = max(row_sum_norm(spec.env_kernels[k] - phi_u) for k in range(spec.n_joint_actions))
-
-    eps_varphi = []
-    for i, ag in enumerate(spec.agents):
-        ref = ag.uncoupled_local
-        if ref is None:
-            if not allow_fallback:
-                raise SpecError(
-                    f"agent {i + 1} uncoupled local kernel missing; enable the fallback "
-                    "to use the action average"
-                )
-            ref = ag.local_kernels.mean(axis=0)
-            fell_back = True
-        eps_varphi.append(
-            max(row_sum_norm(ag.local_kernels[a] - ref) for a in range(ag.n_actions))
-        )
+    ref, source = with_references(spec, allow_fallback)
+    eps_phi = max(
+        row_sum_norm(spec.env_kernels[k] - ref.uncoupled_env) for k in range(spec.n_joint_actions)
+    )
+    eps_varphi = [
+        max(row_sum_norm(ag.local_kernels[a] - r.uncoupled_local) for a in range(ag.n_actions))
+        for ag, r in zip(spec.agents, ref.agents)
+    ]
     lam = eps_phi + spec.n_agents * max(eps_varphi)
     return CouplingReport(
         eps_phi=float(eps_phi),
         eps_varphi=tuple(float(e) for e in eps_varphi),
         lam=float(lam),
-        reference_source="fallback" if fell_back else "supplied",
+        reference_source=source,
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_analysis import ConsistentModel, strategy_arrays
+from .chain_analysis import ConsistentModel, place_factor, strategy_arrays
 from .game_model import GameSpec, SpecError, require_valid
 
 RNG_ALGORITHM = (
@@ -92,9 +92,7 @@ def _outcome_row(spec: GameSpec, probs, psi: tuple[int, ...]) -> np.ndarray:
             * ag.signal_kernel[w, None, :, None]
             * ag.local_kernels_4d[:, xs[i]]
         )
-        shape = [1] * (3 * n + 1)
-        shape[i], shape[n + i], shape[2 * n + i] = h.shape
-        row = row * h.reshape(shape)
+        row = row * place_factor(h, 3 * n + 1, (i, n + i, 2 * n + i))
     return row.ravel()
 
 

@@ -476,47 +476,44 @@ def verify_eee(spec: GameSpec, sigma, mu, tol: float = 1e-8) -> VerificationRepo
     Consistency: the supplied model is within tol (max norm) of the exact
     long-run signal frequencies induced by the profile.
     """
-    probs = strategy_arrays(sigma, spec)
-    strat = Strategy(probs=probs)
+    strat = Strategy(probs=strategy_arrays(sigma, spec))
     if not strat.is_deterministic():
         raise SpecError("verify_eee requires a deterministic strategy")
-    models = model_arrays(mu)
-    q_fixed = solve_q_fixed_point(spec, models)
-    opt_resid = 0.0
-    for t, p in zip(q_fixed.tables, probs):
-        chosen = np.take_along_axis(t, np.argmax(p, axis=-1)[..., None], axis=-1)[..., 0]
-        opt_resid = max(opt_resid, float(np.max(t.max(axis=-1) - chosen)))
-    exact = consistent_model(spec, strat)
-    cons_resid = max(
-        float(np.max(np.abs(m - e))) for m, e in zip(models, exact.mu)
-    )
-    return VerificationReport(
-        optimality_ok=opt_resid < tol,
-        consistency_ok=cons_resid < tol,
-        optimality_residual=opt_resid,
-        consistency_residual=cons_resid,
-        margins=margin(q_fixed, strat),
-    )
+
+    def optimality(q_fixed: QTable) -> float:
+        return max(
+            float(np.max(t.max(axis=-1) - np.take_along_axis(t, a[..., None], axis=-1)[..., 0]))
+            for t, a in zip(q_fixed.tables, strat.actions())
+        )
+
+    return _verification_report(spec, strat, mu, tol, optimality, lambda q_fixed: strat)
 
 
 def verify_approx_eee(
     spec: GameSpec, sigma, mu, tau=None, tol: float = 1e-8
 ) -> VerificationReport:
     """Like verify_eee but optimality compares the strategy to the softmax policy."""
-    probs = strategy_arrays(sigma, spec)
-    strat = Strategy(probs=probs)
-    models = model_arrays(mu)
+    strat = Strategy(probs=strategy_arrays(sigma, spec))
     taus = PolicyRule("softmax", tau=None if tau is None else tuple(np.atleast_1d(tau))).resolve_tau(spec)
-    q_fixed = solve_q_fixed_point(spec, models)
-    opt_resid = max_metric_strategy(strat, softmax_policy(q_fixed, taus))
-    exact = consistent_model(spec, strat)
-    cons_resid = max(
-        float(np.max(np.abs(m - e))) for m, e in zip(models, exact.mu)
+    return _verification_report(
+        spec, strat, mu, tol,
+        lambda q_fixed: max_metric_strategy(strat, softmax_policy(q_fixed, taus)),
+        greedy_policy,
     )
+
+
+def _verification_report(spec, strat, mu, tol, optimality, margin_policy) -> VerificationReport:
+    """Both residuals and the margins; optimality and margin_policy map the Q
+    fixed point of mu to the optimality residual and the margins' strategy."""
+    models = model_arrays(mu)
+    q_fixed = solve_q_fixed_point(spec, models)
+    opt_resid = optimality(q_fixed)
+    exact = consistent_model(spec, strat)
+    cons_resid = max(float(np.max(np.abs(m - e))) for m, e in zip(models, exact.mu))
     return VerificationReport(
         optimality_ok=opt_resid < tol,
         consistency_ok=cons_resid < tol,
         optimality_residual=opt_resid,
         consistency_residual=cons_resid,
-        margins=margin(q_fixed, greedy_policy(q_fixed)),
+        margins=margin(q_fixed, margin_policy(q_fixed)),
     )

@@ -1,9 +1,13 @@
-"""Shared fixtures: the bundled example game and random valid games."""
+"""Shared fixtures: the bundled example game, random valid games, and the
+einsum joint-matrix oracle."""
+
+import string
 
 import numpy as np
 import pytest
 
-from eee.game_model import AgentSpec, GameSpec, build_example1
+from eee.chain_analysis import agent_step_factors, strategy_arrays
+from eee.game_model import AgentSpec, GameSpec, SpecError, build_example1
 
 
 def row_stochastic(rng, shape):
@@ -96,6 +100,63 @@ def sigma_star(spec):
     probs[0][:, :, 1] = 1.0
     probs[1][:, :, 0] = 1.0
     return probs
+
+
+def signal_only_game(n_agents):
+    """n_agents identical agents with one local state, one memory state and one
+    action, each seeing one of two signals of a two-state environment that
+    redraws uniformly every step: 2 joint states whatever n_agents is.
+
+    Returns the spec and its only strategy profile.
+    """
+    ag = AgentSpec(
+        n_states=1, n_actions=1, n_signals=2, n_memory=1,
+        signal_kernel=np.array([[0.75, 0.25], [0.25, 0.75]]),
+        local_kernels=np.ones((1, 2, 1)),
+        memory_rule=np.zeros((1, 2), dtype=int),
+        reward=np.zeros((1, 1, 2)),
+        discount=0.5,
+    )
+    env = np.array([[[0.5, 0.5], [0.5, 0.5]]])
+    spec = GameSpec(n_env=2, env_kernels=env, agents=(ag,) * n_agents)
+    return spec, [np.ones((1, 1, 1))] * n_agents
+
+
+def oracle_joint_matrix(spec, sigma) -> np.ndarray:
+    """The joint transition matrix from one generated einsum per joint action.
+
+    This is the builder that chain_analysis.build_joint_transition replaced,
+    kept as the differential oracle; it caps out at 12 agents (52 letters).
+    """
+    indexer = spec.indexer()
+    n = indexer.n_states
+    probs = strategy_arrays(sigma, spec)
+    factors = agent_step_factors(spec)
+    n_ag = spec.n_agents
+
+    letters = string.ascii_lowercase + string.ascii_uppercase
+    if 2 + 4 * n_ag > len(letters):
+        raise SpecError("too many agents for the dense joint builder")
+    w, wn = letters[0], letters[1]
+    z = [letters[2 + 4 * i] for i in range(n_ag)]
+    x = [letters[3 + 4 * i] for i in range(n_ag)]
+    zn = [letters[4 + 4 * i] for i in range(n_ag)]
+    xn = [letters[5 + 4 * i] for i in range(n_ag)]
+    subs = [w + wn]
+    for i in range(n_ag):
+        subs.append(z[i] + x[i])              # strategy weight at (z_i, x_i)
+        subs.append(w + z[i] + x[i] + zn[i] + xn[i])
+    out = w + "".join(z) + "".join(x) + wn + "".join(zn) + "".join(xn)
+    expr = ",".join(subs) + "->" + out
+
+    big = np.zeros(indexer.state_dims + indexer.state_dims)
+    for k, a in enumerate(spec.joint_actions()):
+        operands = [spec.env_kernels[k]]
+        for i, ai in enumerate(a):
+            operands.append(probs[i][:, :, ai])
+            operands.append(factors[i][ai])
+        big += np.einsum(expr, *operands, optimize=True)
+    return big.reshape(n, n)
 
 
 @pytest.fixture(scope="session")

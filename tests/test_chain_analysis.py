@@ -2,11 +2,13 @@
 
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from eee.chain_analysis import (
+    MAX_AGENTS,
     StationaryError,
     VanishingMassError,
     build_joint_transition,
@@ -14,11 +16,19 @@ from eee.chain_analysis import (
     consistent_model,
     meyer_condition_number,
     stationary_distribution,
+    uncoupled_reference,
     uniform_strategy,
 )
 from eee.game_model import AgentSpec, GameSpec, SpecError
 
-from conftest import random_game, random_strategy, row_stochastic, sigma_star
+from conftest import (
+    oracle_joint_matrix,
+    random_game,
+    random_strategy,
+    row_stochastic,
+    sigma_star,
+    signal_only_game,
+)
 
 
 def brute_force_row(spec, probs, psi):
@@ -88,6 +98,42 @@ def test_example_chain_matches_brute_force(ex1_spec):
     for flat in rng.integers(0, T.n_states, size=3):
         psi = ex1_spec.indexer().unflatten_state(int(flat))
         assert np.allclose(T.matrix[flat], brute_force_row(ex1_spec, probs, psi), atol=1e-13)
+
+
+def test_builder_equals_the_einsum_oracle_bit_for_bit(ex1_spec):
+    """The broadcast builder reproduces the einsum builder exactly, not to a
+    tolerance: it multiplies in einsum's own order, so every entry is the same
+    double. The contract matters because the condition number of a reducible
+    reference chain (the benchmark pins one, certify n648/2/0) is rounding
+    noise that moves with the last bit of the matrix."""
+    rng = np.random.default_rng(11)
+    ref = uncoupled_reference(ex1_spec)
+    cases = [
+        (ex1_spec, sigma_star(ex1_spec)),
+        (ex1_spec, random_strategy(rng, ex1_spec)),
+        (ref, uniform_strategy(ref)),
+    ]
+    for n_agents in range(1, 6):
+        for seed in range(3):
+            spec = random_game(10 * n_agents + seed, n_agents=n_agents, max_dim=3 if n_agents < 4 else 2)
+            cases.append((spec, random_strategy(rng, spec, deterministic=seed == 0)))
+    for spec, sigma in cases:
+        assert np.array_equal(build_joint_transition(spec, sigma).matrix, oracle_joint_matrix(spec, sigma))
+
+
+def test_builder_takes_agents_up_to_numpys_axis_limit():
+    # 2 + 4n axes: 15 agents use 62 of numpy's 64
+    spec, sigma = signal_only_game(MAX_AGENTS)
+    T = build_joint_transition(spec, sigma)
+    assert np.allclose(T.matrix, 0.5, atol=1e-15)
+
+
+def test_too_many_agents_raise_a_named_error_at_once():
+    spec, sigma = signal_only_game(MAX_AGENTS + 1)
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="limit of 15"):
+        build_joint_transition(spec, sigma)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_transition_rows_sum_to_one(ex1_spec):

@@ -13,9 +13,9 @@ import pytest
 
 from eee import chain_analysis, learning
 from eee.cli import _load_spec, main
-from eee.game_model import example1_path
+from eee.game_model import example1_path, save_game
 
-from conftest import sigma_star
+from conftest import sigma_star, signal_only_game
 
 SPEC = str(example1_path())
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -279,6 +279,31 @@ def test_simulate_is_deterministic_per_seed(tmp_path):
     comparison = json.loads((tmp_path / "a" / "comparison.json").read_text())
     assert comparison["n_defined_cells"] == 16
     assert comparison["max_abs_z"] < 5.0
+
+
+def write_signal_only_game(tmp_path, n_agents):
+    spec, sigma = signal_only_game(n_agents)
+    path = tmp_path / f"game{n_agents}.json"
+    save_game(spec, path)
+    return str(path), write_json(tmp_path / f"sigma{n_agents}.json", {"sigma": [p.tolist() for p in sigma]})
+
+
+def test_simulate_thirteen_agents_compares_with_the_exact_model(tmp_path):
+    spec, sigma = write_signal_only_game(tmp_path, 13)
+    out = tmp_path / "sim"
+    code = main(["simulate", spec, "--sigma", sigma, "--horizon", "2000",
+                 "--burn-in", "0", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    comparison = json.loads((out / "comparison.json").read_text())
+    assert comparison["max_abs_gap"] < 0.05
+
+
+def test_run_with_too_many_agents_exits_1_without_a_traceback(tmp_path, capsys):
+    spec, _ = write_signal_only_game(tmp_path, 16)
+    assert main(["run", spec, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "limit of 15" in err
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -18,6 +18,7 @@ from eee.coupling_bounds import (
     perturbation_coefficient,
     q_stability_bound,
     row_sum_norm,
+    with_references,
 )
 from eee.game_model import GameSpec, SpecError
 
@@ -104,6 +105,21 @@ def test_missing_references_raise_or_fall_back(ex1_spec):
     )
     with pytest.raises(SpecError, match="agent 1 uncoupled local kernel"):
         coupling_value(agent_only)
+
+
+def test_fallback_fills_only_the_missing_references(ex1_spec):
+    ref, source = with_references(ex1_spec)
+    assert ref is ex1_spec and source == "supplied"
+    partial = dataclasses.replace(
+        ex1_spec, agents=(ex1_spec.agents[0], dataclasses.replace(ex1_spec.agents[1], uncoupled_local=None))
+    )
+    with pytest.raises(SpecError, match="agent 2 uncoupled local kernel missing"):
+        with_references(partial)
+    filled, source = with_references(partial, allow_fallback=True)
+    assert source == "fallback"
+    assert np.array_equal(filled.uncoupled_env, ex1_spec.uncoupled_env)
+    assert filled.agents[0] is ex1_spec.agents[0]
+    assert np.array_equal(filled.agents[1].uncoupled_local, ex1_spec.agents[1].local_kernels.mean(axis=0))
 
 
 def test_q_stability_hand_values(ex1_spec):

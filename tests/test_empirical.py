@@ -15,7 +15,7 @@ from eee.empirical import (
 )
 from eee.game_model import AgentSpec, GameSpec, SpecError, build_example1
 
-from conftest import random_game, random_strategy, sigma_star
+from conftest import random_game, random_strategy, sigma_star, signal_only_game
 
 
 def deterministic_flip_game():
@@ -153,18 +153,8 @@ def test_largest_uniform_never_lands_on_a_zero_probability_outcome(ex1_spec, mon
 
 
 def test_thirteen_agents_simulate():
-    # one local state, one action, two signals each: 2 joint states, 2**14 outcomes
-    ag = AgentSpec(
-        n_states=1, n_actions=1, n_signals=2, n_memory=1,
-        signal_kernel=np.array([[0.75, 0.25], [0.25, 0.75]]),
-        local_kernels=np.ones((1, 2, 1)),
-        memory_rule=np.zeros((1, 2), dtype=int),
-        reward=np.zeros((1, 1, 2)),
-        discount=0.5,
-    )
-    env = np.array([[[0.5, 0.5], [0.5, 0.5]]])
-    spec = GameSpec(n_env=2, env_kernels=env, agents=(ag,) * 13)
-    sigma = [np.ones((1, 1, 1))] * 13
+    # 2 joint states, 2**14 outcomes
+    spec, sigma = signal_only_game(13)
     traj = simulate(spec, sigma, horizon=2000, seed=1, burn_in=0)
     assert len(traj.records) == 2000
     for v, c in zip(traj.visits, traj.signal_counts):
