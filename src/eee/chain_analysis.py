@@ -128,6 +128,17 @@ def place_factor(factor: np.ndarray, ndim: int, axes: tuple[int, ...]) -> np.nda
     return factor.reshape(shape)
 
 
+def require_agent_cap(spec: GameSpec) -> None:
+    """Reject more than MAX_AGENTS agents before anything is allocated.
+
+    The exact path's (w, z, x, w', z', x') tensor has 2 + 4n axes, at most
+    numpy's 64. The Monte Carlo path keeps the same cap, since its counts
+    are checked against the exact model.
+    """
+    if spec.n_agents > MAX_AGENTS:
+        raise SpecError(f"{spec.n_agents} agents, above the limit of {MAX_AGENTS} for the joint chain")
+
+
 def build_joint_transition(spec: GameSpec, sigma) -> JointTransition:
     """Dense transition matrix over joint states (w, z_1..z_n, x_1..x_n).
 
@@ -145,9 +156,8 @@ def build_joint_transition(spec: GameSpec, sigma) -> JointTransition:
     moves with the last bit of the matrix. numpy arrays have at most 64 axes
     and the tensor has 2 + 4n, which caps n at MAX_AGENTS.
     """
+    require_agent_cap(spec)
     n_ag = spec.n_agents
-    if n_ag > MAX_AGENTS:
-        raise SpecError(f"{n_ag} agents, above the limit of {MAX_AGENTS} for the dense joint builder")
     indexer = spec.indexer()
     n = indexer.n_states
     if n > MAX_JOINT_STATES:

@@ -98,9 +98,7 @@ def _load_spec(path: str, alpha: float | None) -> GameSpec:
     spec = game_model.load_game(path)
     if alpha is not None:
         spec = game_model.interpolate(ConvexFamily(base=spec), alpha)
-    report = game_model.validate_spec(spec)
-    if not report.ok:
-        raise SpecError("invalid game spec: " + "; ".join(report.violations))
+    game_model.require_valid(spec)
     return spec
 
 
@@ -372,6 +370,8 @@ def _sanitize(obj):
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec, args.alpha)
     sigma = _load_profile(args.sigma, "sigma")
+    # the exact model first: a game it rejects fails before any sampling or output
+    exact = chain_analysis.consistent_model(spec, sigma)
     out = _output_dir(args.out, "simulate")
     traj = empirical.simulate(spec, sigma, args.horizon, args.seed, burn_in=args.burn_in)
     model = empirical.empirical_model(traj)
@@ -397,7 +397,6 @@ def cmd_simulate(args) -> int:
                     ])
     _atomic_write(out / "counts.csv", buf.getvalue())
 
-    exact = chain_analysis.consistent_model(spec, sigma)
     comparison = empirical.compare_models(model, exact)
     doc = {
         "max_abs_gap": comparison.max_abs_gap,

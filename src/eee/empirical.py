@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_analysis import ConsistentModel, place_factor, strategy_arrays
+from .chain_analysis import ConsistentModel, place_factor, require_agent_cap, strategy_arrays
 from .game_model import GameSpec, SpecError, require_valid
 
 RNG_ALGORITHM = (
@@ -29,7 +29,6 @@ RNG_ALGORITHM = (
     "uniform per step resolved by inverse CDF over outcomes ordered "
     "(joint action, signals, next local states, next environment), lexicographic C order"
 )
-RECORD_HORIZON_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,8 @@ class Trajectory:
     rng_algorithm: str
     visits: tuple[np.ndarray, ...]         # per agent, (Z, X) ints
     signal_counts: tuple[np.ndarray, ...]  # per agent, (Z, X, S) ints
-    records: list | None                   # per step (w, z, x, a, s) tuples
+    states: np.ndarray                     # per step, flat joint state over state_dims
+    outcomes: np.ndarray                   # per step, flat outcome index (outcome order)
 
 
 @dataclass(frozen=True)
@@ -96,62 +96,43 @@ def _outcome_row(spec: GameSpec, probs, psi: tuple[int, ...]) -> np.ndarray:
     return row.ravel()
 
 
-def _state_components(spec: GameSpec):
-    """Per flat state: w, z_i, x_i lookup arrays."""
-    indexer = spec.indexer()
-    grids = np.indices(indexer.state_dims).reshape(len(indexer.state_dims), -1)
-    n = spec.n_agents
-    return indexer, grids[0], [grids[1 + i] for i in range(n)], [grids[1 + n + i] for i in range(n)]
-
-
-def _outcome_components(spec: GameSpec):
-    """Per flat outcome: joint action index, a_i, s_i, next x_i, next w."""
-    dims = _outcome_dims(spec)
-    grids = np.indices(dims).reshape(len(dims), -1)
-    n = spec.n_agents
-    k = grids[0]
-    s = [grids[1 + i] for i in range(n)]
-    x_next = [grids[1 + n + i] for i in range(n)]
-    w_next = grids[1 + 2 * n]
-    a_dims = tuple(ag.n_actions for ag in spec.agents)
-    a = np.array(np.unravel_index(k, a_dims))
-    return k, [a[i] for i in range(n)], s, x_next, w_next
-
-
 def simulate(
     spec: GameSpec, sigma, horizon: int, seed: int, burn_in: int = 1000
 ) -> Trajectory:
     """Sample the joint chain for `horizon` steps; count signals after burn_in.
 
     Deterministic given (spec, sigma, horizon, seed, burn_in). The initial
-    joint state is uniform. Per-step records are retained only for horizons
-    up to RECORD_HORIZON_LIMIT.
+    joint state is uniform. The trajectory keeps each step's flat joint state
+    and flat outcome index; np.unravel_index over state_dims and the outcome
+    order decodes them.
     """
     require_valid(spec)
+    require_agent_cap(spec)
     if burn_in < 0 or horizon < burn_in:
         raise SpecError(f"need horizon >= burn_in >= 0, got horizon={horizon}, burn_in={burn_in}")
     probs = strategy_arrays(sigma, spec)
-    indexer, comp_w, comp_z, comp_x = _state_components(spec)
-    n_states = indexer.n_states
-    _, out_a, out_s, out_xn, out_wn = _outcome_components(spec)
-    n_out = int(np.prod(_outcome_dims(spec)))
-    strides = indexer.state_strides
-
+    indexer = spec.indexer()
+    state_dims, n_states = indexer.state_dims, indexer.n_states
+    out_dims = _outcome_dims(spec)
+    n_out = int(np.prod(out_dims))
     n = spec.n_agents
-    # next flat state per (state, outcome): environment and local parts are
-    # state-independent; the memory part goes through the memory rule
-    def next_row(psi_flat: int) -> np.ndarray:
-        base = out_wn * strides[0]
-        for i in range(n):
-            z_next = spec.agents[i].memory_rule[comp_z[i][psi_flat], out_s[i]]
-            base = base + z_next * strides[1 + i] + out_xn[i] * strides[1 + n + i]
-        return base
+    ndim = len(out_dims)
+
+    def next_row(psi: tuple[int, ...]) -> np.ndarray:
+        """Next flat state per outcome: w' from the outcome, memory_rule_i[z_i, s_i]
+        on each signal axis, x'_i on each next-local axis."""
+        parts = [
+            place_factor(np.arange(spec.n_env), ndim, (ndim - 1,)),
+            *(place_factor(ag.memory_rule[psi[1 + i]], ndim, (1 + i,)) for i, ag in enumerate(spec.agents)),
+            *(place_factor(np.arange(ag.n_states), ndim, (1 + n + i,)) for i, ag in enumerate(spec.agents)),
+        ]
+        return np.broadcast_to(np.ravel_multi_index(parts, state_dims), out_dims).ravel()
 
     rng = np.random.default_rng(seed)
     state = int(rng.integers(n_states))
     u = rng.random(horizon)
-    psi_hist = np.empty(horizon, dtype=np.int64)
-    out_hist = np.empty(horizon, dtype=np.int64)
+    states = np.empty(horizon, dtype=np.int64)
+    outcomes = np.empty(horizon, dtype=np.int64)
 
     # rows filled on a state's first visit, held in two arrays rather than two
     # small arrays per state, which would leave a fragmented heap behind. Each
@@ -162,42 +143,29 @@ def simulate(
     nxt_rows = np.empty((n_states, n_out), dtype=np.int64)
     filled = np.zeros(n_states, dtype=bool)
     for t in range(horizon):
-        psi_hist[t] = state
+        states[t] = state
         if not filled[state]:
-            cum = np.cumsum(_outcome_row(spec, probs, indexer.unflatten_state(state)))
+            psi = np.unravel_index(state, state_dims)
+            cum = np.cumsum(_outcome_row(spec, probs, psi))
             cum_rows[state] = cum / cum[-1]
-            nxt_rows[state] = next_row(state)
+            nxt_rows[state] = next_row(psi)
             filled[state] = True
         o = int(np.searchsorted(cum_rows[state], u[t], side="right"))
-        out_hist[t] = o
+        outcomes[t] = o
         state = int(nxt_rows[state, o])
+    # the rows are the largest arrays here; free them before the window is decoded
+    del cum_rows, nxt_rows
 
+    psi_window = np.unravel_index(states[burn_in:], state_dims)
+    out_window = np.unravel_index(outcomes[burn_in:], out_dims)
     visits = []
     counts = []
-    window_psi = psi_hist[burn_in:]
-    window_out = out_hist[burn_in:]
     for i, ag in enumerate(spec.agents):
-        z_arr = comp_z[i][window_psi]
-        x_arr = comp_x[i][window_psi]
-        s_arr = out_s[i][window_out]
-        flat = (z_arr * ag.n_states + x_arr) * ag.n_signals + s_arr
-        c = np.bincount(flat, minlength=ag.n_memory * ag.n_states * ag.n_signals)
-        c = c.reshape(ag.n_memory, ag.n_states, ag.n_signals)
+        cell_dims = (ag.n_memory, ag.n_states, ag.n_signals)
+        flat = np.ravel_multi_index((psi_window[1 + i], psi_window[1 + n + i], out_window[1 + i]), cell_dims)
+        c = np.bincount(flat, minlength=int(np.prod(cell_dims))).reshape(cell_dims)
         counts.append(c)
         visits.append(c.sum(axis=-1))
-
-    records = None
-    if horizon <= RECORD_HORIZON_LIMIT:
-        records = [
-            (
-                int(comp_w[p]),
-                tuple(int(comp_z[i][p]) for i in range(n)),
-                tuple(int(comp_x[i][p]) for i in range(n)),
-                tuple(int(out_a[i][o]) for i in range(n)),
-                tuple(int(out_s[i][o]) for i in range(n)),
-            )
-            for p, o in zip(psi_hist, out_hist)
-        ]
 
     return Trajectory(
         seed=seed,
@@ -206,7 +174,8 @@ def simulate(
         rng_algorithm=RNG_ALGORITHM,
         visits=tuple(visits),
         signal_counts=tuple(counts),
-        records=records,
+        states=states,
+        outcomes=outcomes,
     )
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -123,8 +123,7 @@ class GameSpec:
                 self.n_env,
                 *(ag.n_memory for ag in self.agents),
                 *(ag.n_states for ag in self.agents),
-            ),
-            action_dims=self.action_dims,
+            )
         )
 
     def joint_actions(self) -> Iterator[tuple[int, ...]]:
@@ -158,81 +157,18 @@ class ConvexFamily:
 
 @dataclass(frozen=True)
 class JointIndexer:
-    """Bijections between joint tuples and flat indices, C order.
+    """Shape of the joint state space, flattened in C order.
 
     Joint states are tuples (w, z_1..z_n, x_1..x_n) with state_dims
-    (|W|, |Z_1|..|Z_n|, |X_1|..|X_n|); the last component varies fastest.
+    (|W|, |Z_1|..|Z_n|, |X_1|..|X_n|); the last component varies fastest, so
+    np.ravel_multi_index and np.unravel_index on state_dims convert them.
     """
 
     state_dims: tuple[int, ...]
-    action_dims: tuple[int, ...]
-    _state_strides: tuple[int, ...] = field(init=False, repr=False)
-    _action_strides: tuple[int, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_state_strides", _c_strides(self.state_dims))
-        object.__setattr__(self, "_action_strides", _c_strides(self.action_dims))
 
     @property
     def n_states(self) -> int:
         return int(np.prod(self.state_dims))
-
-    @property
-    def n_actions(self) -> int:
-        return int(np.prod(self.action_dims))
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.action_dims)
-
-    @property
-    def state_strides(self) -> tuple[int, ...]:
-        return self._state_strides
-
-    def flatten_state(self, psi: Sequence[int]) -> int:
-        return _flatten(psi, self.state_dims, self._state_strides)
-
-    def unflatten_state(self, index: int) -> tuple[int, ...]:
-        return _unflatten(index, self.state_dims, self._state_strides)
-
-    def flatten_action(self, a: Sequence[int]) -> int:
-        return _flatten(a, self.action_dims, self._action_strides)
-
-    def unflatten_action(self, index: int) -> tuple[int, ...]:
-        return _unflatten(index, self.action_dims, self._action_strides)
-
-    def split_state(self, psi: Sequence[int]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(w, z, x) view of a joint state tuple."""
-        n = self.n_agents
-        return psi[0], tuple(psi[1 : 1 + n]), tuple(psi[1 + n :])
-
-
-def _c_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
-    strides = [1] * len(dims)
-    for k in range(len(dims) - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
-    return tuple(strides)
-
-
-def _flatten(tup, dims, strides) -> int:
-    if len(tup) != len(dims):
-        raise SpecError(f"tuple length {len(tup)} does not match dims {dims}")
-    idx = 0
-    for v, d, st in zip(tup, dims, strides):
-        if not 0 <= v < d:
-            raise SpecError(f"component {v} out of range [0, {d})")
-        idx += v * st
-    return idx
-
-
-def _unflatten(index, dims, strides) -> tuple[int, ...]:
-    if not 0 <= index < int(np.prod(dims)):
-        raise SpecError(f"flat index {index} out of range for dims {dims}")
-    out = []
-    for st in strides:
-        out.append(index // st)
-        index %= st
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,11 @@ def brute_force_row(spec, probs, psi):
     arithmetic only.
     """
     n = spec.n_agents
-    indexer = spec.indexer()
+    state_dims = spec.indexer().state_dims
     w = psi[0]
     z = psi[1 : 1 + n]
     x = psi[1 + n :]
-    row = np.zeros(indexer.n_states)
+    row = np.zeros(spec.indexer().n_states)
     signal_ranges = [range(ag.n_signals) for ag in spec.agents]
     local_ranges = [range(ag.n_states) for ag in spec.agents]
     for k, a in enumerate(spec.joint_actions()):
@@ -63,7 +63,7 @@ def brute_force_row(spec, probs, psi):
                     p_loc = 1.0
                     for i, ag in enumerate(spec.agents):
                         p_loc *= ag.local_kernels[a[i], x[i] * ag.n_signals + signals[i], x_next[i]]
-                    target = indexer.flatten_state((w_next, *z_next, *x_next))
+                    target = np.ravel_multi_index((w_next, *z_next, *x_next), state_dims)
                     row[target] += p_act * p_env * p_sig * p_loc
     return row
 
@@ -96,7 +96,7 @@ def test_example_chain_matches_brute_force(ex1_spec):
     T = build_joint_transition(ex1_spec, probs)
     rng = np.random.default_rng(42)
     for flat in rng.integers(0, T.n_states, size=3):
-        psi = ex1_spec.indexer().unflatten_state(int(flat))
+        psi = np.unravel_index(int(flat), ex1_spec.indexer().state_dims)
         assert np.allclose(T.matrix[flat], brute_force_row(ex1_spec, probs, psi), atol=1e-13)
 
 

@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,21 @@ def test_simulate_thirteen_agents_compares_with_the_exact_model(tmp_path):
     assert code == 0
     comparison = json.loads((out / "comparison.json").read_text())
     assert comparison["max_abs_gap"] < 0.05
+
+
+@pytest.mark.parametrize("n_agents", [16, 22])
+def test_simulate_with_too_many_agents_fails_before_sampling(tmp_path, capsys, n_agents):
+    spec, sigma = write_signal_only_game(tmp_path, n_agents)
+    out = tmp_path / "sim"
+    start = time.perf_counter()
+    code = main(["simulate", spec, "--sigma", sigma, "--horizon", "100000",
+                 "--burn-in", "0", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "limit of 15" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_with_too_many_agents_exits_1_without_a_traceback(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Monte Carlo sampling, empirical frequencies, and exact-model comparison."""
 
 import string
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from eee.empirical import (
 from eee.game_model import AgentSpec, GameSpec, SpecError, build_example1
 
 from conftest import random_game, random_strategy, sigma_star, signal_only_game
+
+NO_STEPS = np.empty(0, dtype=np.int64)
 
 
 def deterministic_flip_game():
@@ -39,9 +42,34 @@ def test_simulation_is_deterministic_per_seed(ex1_spec):
     b = simulate(ex1_spec, sigma, horizon=2000, seed=12, burn_in=100)
     for ca, cb in zip(a.signal_counts, b.signal_counts):
         assert np.array_equal(ca, cb)
-    assert a.records == b.records
+    assert decoded_steps(ex1_spec, a) == decoded_steps(ex1_spec, b)
     c = simulate(ex1_spec, sigma, horizon=2000, seed=13, burn_in=100)
     assert any(not np.array_equal(x, y) for x, y in zip(a.signal_counts, c.signal_counts))
+
+
+def outcome_dims(spec) -> tuple[int, ...]:
+    """The documented outcome order: joint action, signals, next local states,
+    next environment."""
+    return (
+        spec.n_joint_actions,
+        *(ag.n_signals for ag in spec.agents),
+        *(ag.n_states for ag in spec.agents),
+        spec.n_env,
+    )
+
+
+def decoded_steps(spec, traj) -> list[tuple]:
+    """Per step (w, z, x, a, s) tuples, decoded from traj.states and traj.outcomes."""
+    n = spec.n_agents
+    psi = np.unravel_index(traj.states, spec.indexer().state_dims)
+    k, *rest = np.unravel_index(traj.outcomes, outcome_dims(spec))
+    a = np.unravel_index(k, spec.action_dims)
+    rows = np.stack([*psi, *a, *rest[:n]], axis=1).tolist()
+    return [
+        (r[0], tuple(r[1 : 1 + n]), tuple(r[1 + n : 1 + 2 * n]), tuple(r[1 + 2 * n : 1 + 3 * n]),
+         tuple(r[1 + 3 * n :]))
+        for r in rows
+    ]
 
 
 def oracle_outcome_table(spec, probs) -> np.ndarray:
@@ -75,26 +103,23 @@ def oracle_outcome_table(spec, probs) -> np.ndarray:
 def oracle_records(spec, sigma, horizon, seed):
     """Per-step records of the documented stream, sampled from the oracle table."""
     probs = strategy_arrays(sigma, spec)
-    indexer = spec.indexer()
+    state_dims = spec.indexer().state_dims
     n = spec.n_agents
     cum = np.cumsum(oracle_outcome_table(spec, probs), axis=1)
     cum /= cum[:, -1:]
-    dims = (
-        spec.n_joint_actions,
-        *(ag.n_signals for ag in spec.agents),
-        *(ag.n_states for ag in spec.agents),
-        spec.n_env,
-    )
     rng = np.random.default_rng(seed)
-    state = int(rng.integers(indexer.n_states))
+    state = int(rng.integers(spec.indexer().n_states))
     records = []
     for u in rng.random(horizon):
-        w, z, x = indexer.split_state(indexer.unflatten_state(state))
-        k, *rest = (int(v) for v in np.unravel_index(np.searchsorted(cum[state], u, side="right"), dims))
+        w, *zx = (int(v) for v in np.unravel_index(state, state_dims))
+        z, x = tuple(zx[:n]), tuple(zx[n:])
+        o = np.searchsorted(cum[state], u, side="right")
+        k, *rest = (int(v) for v in np.unravel_index(o, outcome_dims(spec)))
         s, x_next, w_next = tuple(rest[:n]), tuple(rest[n : 2 * n]), rest[2 * n]
-        records.append((w, z, x, indexer.unflatten_action(k), s))
+        a = tuple(int(v) for v in np.unravel_index(k, spec.action_dims))
+        records.append((w, z, x, a, s))
         z_next = tuple(int(ag.memory_rule[z[i], s[i]]) for i, ag in enumerate(spec.agents))
-        state = indexer.flatten_state((w_next, *z_next, *x_next))
+        state = int(np.ravel_multi_index((w_next, *z_next, *x_next), state_dims))
     return records
 
 
@@ -112,9 +137,9 @@ def test_factored_rows_match_the_einsum_oracle():
     for spec, sigma in oracle_cases():
         probs = strategy_arrays(sigma, spec)
         table = oracle_outcome_table(spec, probs)
-        indexer = spec.indexer()
-        for psi in range(indexer.n_states):
-            row = empirical._outcome_row(spec, probs, indexer.unflatten_state(psi))
+        state_dims = spec.indexer().state_dims
+        for psi in range(spec.indexer().n_states):
+            row = empirical._outcome_row(spec, probs, np.unravel_index(psi, state_dims))
             assert row.shape == table[psi].shape
             assert np.max(np.abs(row - table[psi])) <= 1e-15
 
@@ -122,7 +147,20 @@ def test_factored_rows_match_the_einsum_oracle():
 def test_records_match_the_oracle_sampler():
     for spec, sigma in oracle_cases():
         traj = simulate(spec, sigma, horizon=3000, seed=4, burn_in=100)
-        assert traj.records == oracle_records(spec, sigma, horizon=3000, seed=4)
+        assert decoded_steps(spec, traj) == oracle_records(spec, sigma, horizon=3000, seed=4)
+
+
+def test_steps_are_kept_above_the_old_record_limit(ex1_spec):
+    # per-step data used to be kept only up to 10**5 steps
+    horizon, burn_in = 10**5 + 1, 100
+    traj = simulate(ex1_spec, sigma_star(ex1_spec), horizon=horizon, seed=6, burn_in=burn_in)
+    assert traj.states.shape == traj.outcomes.shape == (horizon,)
+    recount = [np.zeros_like(c) for c in traj.signal_counts]
+    for _, z, x, _, s in decoded_steps(ex1_spec, traj)[burn_in:]:
+        for i, c in enumerate(recount):
+            c[z[i], x[i], s[i]] += 1
+    for r, c in zip(recount, traj.signal_counts):
+        assert np.array_equal(r, c)
 
 
 def test_example_counts_are_pinned(ex1_spec):
@@ -148,19 +186,29 @@ def test_largest_uniform_never_lands_on_a_zero_probability_outcome(ex1_spec, mon
     monkeypatch.setattr(np.random, "default_rng", LargestUniform)
     traj = simulate(ex1_spec, sigma_star(ex1_spec), horizon=50, seed=0, burn_in=0)
     monkeypatch.undo()
-    assert traj.records[0][:3] == (0, (0, 0), (0, 0))
-    assert {rec[3] for rec in traj.records} == {(1, 0)}
+    steps = decoded_steps(ex1_spec, traj)
+    assert steps[0][:3] == (0, (0, 0), (0, 0))
+    assert {step[3] for step in steps} == {(1, 0)}
 
 
 def test_thirteen_agents_simulate():
     # 2 joint states, 2**14 outcomes
     spec, sigma = signal_only_game(13)
     traj = simulate(spec, sigma, horizon=2000, seed=1, burn_in=0)
-    assert len(traj.records) == 2000
+    assert len(decoded_steps(spec, traj)) == 2000
     for v, c in zip(traj.visits, traj.signal_counts):
         assert v.tolist() == [[2000]]
         # each signal is 0.75 / 0.25 given w, and w is uniform
         assert abs(c[0, 0, 0] / 2000 - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("n_agents", [16, 22])
+def test_too_many_agents_are_rejected_before_sampling(n_agents):
+    spec, sigma = signal_only_game(n_agents)
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="limit of 15"):
+        simulate(spec, sigma, horizon=10**5, seed=0, burn_in=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_empty_window_counts_nothing(ex1_spec):
@@ -182,7 +230,7 @@ def test_counts_conserve_the_window(ex1_spec):
     for v, c in zip(traj.visits, traj.signal_counts):
         assert v.sum() == 3000 - 250
         assert np.array_equal(c.sum(axis=-1), v)
-    assert len(traj.records) == 3000
+    assert len(decoded_steps(ex1_spec, traj)) == 3000
 
 
 def test_deterministic_game_follows_the_hand_orbit():
@@ -192,8 +240,8 @@ def test_deterministic_game_follows_the_hand_orbit():
 
     rng = np.random.default_rng(21)
     w, z, x = np.unravel_index(int(rng.integers(8)), (2, 2, 2))
-    for rec in traj.records:
-        assert rec == (w, (z,), (x,), (0,), (w,))
+    for step in decoded_steps(spec, traj):
+        assert step == (w, (z,), (x,), (0,), (w,))
         w, z, x = 1 - w, w, w
 
     # one-hot kernels concentrate every count at s == z' == x'
@@ -209,7 +257,8 @@ def test_empirical_model_hand_frequencies():
         seed=0, horizon=100, burn_in=0, rng_algorithm="manual",
         visits=(np.array([[100]]),),
         signal_counts=(np.array([[[30, 70]]]),),
-        records=None,
+        states=NO_STEPS,
+        outcomes=NO_STEPS,
     )
     emp = empirical_model(traj)
     assert np.allclose(emp.freq[0][0, 0], (0.3, 0.7), atol=1e-15)
@@ -222,7 +271,8 @@ def test_empirical_model_zero_visits_defined_false():
         seed=0, horizon=0, burn_in=0, rng_algorithm="manual",
         visits=(np.array([[0, 50]]),),
         signal_counts=(np.array([[[0, 0], [25, 25]]]),),
-        records=None,
+        states=NO_STEPS,
+        outcomes=NO_STEPS,
     )
     emp = empirical_model(traj)
     assert not emp.defined[0][0, 0]
@@ -240,7 +290,8 @@ def test_comparison_of_rounded_counts_stays_below_resolution():
         seed=0, horizon=n, burn_in=0, rng_algorithm="manual",
         visits=(np.array([[n]]),),
         signal_counts=(np.array([[[c0, n - c0]]]),),
-        records=None,
+        states=NO_STEPS,
+        outcomes=NO_STEPS,
     )
     rep = compare_models(empirical_model(traj), [mu])
     assert rep.max_abs_gap <= 0.5 / n
@@ -253,7 +304,8 @@ def test_comparison_rejects_mismatched_shapes():
         seed=0, horizon=10, burn_in=0, rng_algorithm="manual",
         visits=(np.array([[10]]),),
         signal_counts=(np.array([[[4, 6]]]),),
-        records=None,
+        states=NO_STEPS,
+        outcomes=NO_STEPS,
     )
     with pytest.raises(SpecError, match="mismatched dimensions"):
         compare_models(empirical_model(traj), [np.full((1, 1, 3), 1 / 3)])

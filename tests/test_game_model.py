@@ -1,4 +1,4 @@
-"""Game construction, validation, interpolation, indexing, serialization."""
+"""Game construction, validation, interpolation, serialization."""
 
 import json
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from eee.game_model import (
     ConvexFamily,
-    JointIndexer,
     ParseError,
     SpecError,
     build_example1,
@@ -105,31 +104,6 @@ def test_interpolation_is_affine(alpha):
         expect_local = alpha * hi.agents[i].local_kernels + (1.0 - alpha) * lo.agents[i].local_kernels
         assert np.allclose(mid.agents[i].local_kernels, expect_local, atol=1e-14)
     assert validate_spec(mid).ok
-
-
-def test_indexer_bijective_over_example_states(ex1_spec):
-    indexer = ex1_spec.indexer()
-    seen = set()
-    for flat in range(indexer.n_states):
-        psi = indexer.unflatten_state(flat)
-        assert indexer.flatten_state(psi) == flat
-        seen.add(psi)
-    assert len(seen) == 64
-
-
-def test_indexer_rejects_out_of_range():
-    indexer = JointIndexer(state_dims=(2, 3), action_dims=(2,))
-    with pytest.raises(SpecError):
-        indexer.flatten_state((2, 0))
-    with pytest.raises(SpecError):
-        indexer.unflatten_state(6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=4 * 3 * 2 * 5 - 1))
-def test_indexer_round_trip(flat):
-    indexer = JointIndexer(state_dims=(4, 3, 2, 5), action_dims=(2, 2))
-    assert indexer.flatten_state(indexer.unflatten_state(flat)) == flat
 
 
 def test_json_round_trip(tmp_path, ex1_family):
