@@ -370,7 +370,8 @@ def _sanitize(obj):
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec, args.alpha)
     sigma = _load_profile(args.sigma, "sigma")
-    # the exact model first: a game it rejects fails before any sampling or output
+    # the window and the exact model first: either fails before any sampling or output
+    empirical.require_window(args.horizon, args.burn_in)
     exact = chain_analysis.consistent_model(spec, sigma)
     out = _output_dir(args.out, "simulate")
     traj = empirical.simulate(spec, sigma, args.horizon, args.seed, burn_in=args.burn_in)
@@ -384,17 +385,15 @@ def cmd_simulate(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["agent", "z", "x", "s", "count", "visits", "frequency", "stderr"])
     for i, ag in enumerate(spec.agents):
-        for z in range(ag.n_memory):
-            for x in range(ag.n_states):
-                for s in range(ag.n_signals):
-                    defined = bool(model.defined[i][z, x])
-                    writer.writerow([
-                        i + 1, z + 1, x + 1, s + 1,
-                        int(traj.signal_counts[i][z, x, s]),
-                        int(traj.visits[i][z, x]),
-                        repr(float(model.freq[i][z, x, s])) if defined else "",
-                        repr(float(model.stderr[i][z, x, s])) if defined else "",
-                    ])
+        for z, x, s in np.ndindex(ag.n_memory, ag.n_states, ag.n_signals):
+            defined = bool(model.defined[i][z, x])
+            writer.writerow([
+                i + 1, z + 1, x + 1, s + 1,
+                int(traj.signal_counts[i][z, x, s]),
+                int(traj.visits[i][z, x]),
+                repr(float(model.freq[i][z, x, s])) if defined else "",
+                repr(float(model.stderr[i][z, x, s])) if defined else "",
+            ])
     _atomic_write(out / "counts.csv", buf.getvalue())
 
     comparison = empirical.compare_models(model, exact)
@@ -402,7 +401,7 @@ def cmd_simulate(args) -> int:
         "max_abs_gap": comparison.max_abs_gap,
         "max_abs_z": comparison.max_abs_z,
         "n_defined_cells": comparison.n_defined,
-        "z_scores": [ _sanitize_array(z) for z in comparison.z_scores ],
+        "z_scores": [np.where(np.isnan(z), None, z).tolist() for z in comparison.z_scores],
         "seed": traj.seed,
         "horizon": traj.horizon,
         "burn_in": traj.burn_in,
@@ -411,10 +410,6 @@ def cmd_simulate(args) -> int:
     _atomic_write(out / "comparison.json", _json_text(_sanitize(doc)))
     print(f"max_abs_gap={comparison.max_abs_gap:.6e} max_abs_z={comparison.max_abs_z:.3f} out={out}")
     return EXIT_OK
-
-
-def _sanitize_array(arr: np.ndarray):
-    return _sanitize(np.where(np.isnan(arr), None, arr).tolist())
 
 
 # ---------------------------------------------------------------------------

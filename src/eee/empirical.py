@@ -12,11 +12,14 @@ consumed in a fixed documented order: one integer for the uniform initial
 joint state, then one uniform per step; each step is resolved by inverse CDF
 over the full outcome row (joint action, signals, next local states, next
 environment state) in lexicographic C order. A state's row is built on its
-first visit, and its cumulative sums are divided by their last entry.
+first visit, and its cumulative sums are divided by their last entry. A step
+takes the first entry of that normalized row above its uniform, by bisect_right,
+which is np.searchsorted(side="right") on the same doubles: the stream is unchanged.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,15 +69,6 @@ class ComparisonReport:
     n_defined: int
 
 
-def _outcome_dims(spec: GameSpec) -> tuple[int, ...]:
-    return (
-        spec.n_joint_actions,
-        *(ag.n_signals for ag in spec.agents),
-        *(ag.n_states for ag in spec.agents),
-        spec.n_env,
-    )
-
-
 def _outcome_row(spec: GameSpec, probs, psi: tuple[int, ...]) -> np.ndarray:
     """Outcome probabilities of the joint state psi = (w, z, x), in outcome order.
 
@@ -96,6 +90,12 @@ def _outcome_row(spec: GameSpec, probs, psi: tuple[int, ...]) -> np.ndarray:
     return row.ravel()
 
 
+def require_window(horizon: int, burn_in: int) -> None:
+    """Reject a counting window other than 0 <= burn_in <= horizon."""
+    if burn_in < 0 or horizon < burn_in:
+        raise SpecError(f"need horizon >= burn_in >= 0, got horizon={horizon}, burn_in={burn_in}")
+
+
 def simulate(
     spec: GameSpec, sigma, horizon: int, seed: int, burn_in: int = 1000
 ) -> Trajectory:
@@ -104,29 +104,32 @@ def simulate(
     Deterministic given (spec, sigma, horizon, seed, burn_in). The initial
     joint state is uniform. The trajectory keeps each step's flat joint state
     and flat outcome index; np.unravel_index over state_dims and the outcome
-    order decodes them.
+    order decodes them. Each step is one bisect_right over the state's normalized
+    cumulative row, equivalent to searchsorted(side="right"); the stream is unchanged.
     """
     require_valid(spec)
     require_agent_cap(spec)
-    if burn_in < 0 or horizon < burn_in:
-        raise SpecError(f"need horizon >= burn_in >= 0, got horizon={horizon}, burn_in={burn_in}")
+    require_window(horizon, burn_in)
     probs = strategy_arrays(sigma, spec)
     indexer = spec.indexer()
     state_dims, n_states = indexer.state_dims, indexer.n_states
-    out_dims = _outcome_dims(spec)
-    n_out = int(np.prod(out_dims))
     n = spec.n_agents
-    ndim = len(out_dims)
+    # outcomes: joint action (slowest), then the tail of signals, next local states and
+    # next environment; the next state depends on the tail alone: nxt_rows[state, o % n_tail]
+    tail_dims = (*(ag.n_signals for ag in spec.agents), *(ag.n_states for ag in spec.agents), spec.n_env)
+    out_dims = (spec.n_joint_actions, *tail_dims)
+    n_tail, ndim = int(np.prod(tail_dims)), len(tail_dims)
+    n_out = spec.n_joint_actions * n_tail
 
     def next_row(psi: tuple[int, ...]) -> np.ndarray:
-        """Next flat state per outcome: w' from the outcome, memory_rule_i[z_i, s_i]
+        """Next flat state per outcome tail: w' from the outcome, memory_rule_i[z_i, s_i]
         on each signal axis, x'_i on each next-local axis."""
         parts = [
             place_factor(np.arange(spec.n_env), ndim, (ndim - 1,)),
-            *(place_factor(ag.memory_rule[psi[1 + i]], ndim, (1 + i,)) for i, ag in enumerate(spec.agents)),
-            *(place_factor(np.arange(ag.n_states), ndim, (1 + n + i,)) for i, ag in enumerate(spec.agents)),
+            *(place_factor(ag.memory_rule[psi[1 + i]], ndim, (i,)) for i, ag in enumerate(spec.agents)),
+            *(place_factor(np.arange(ag.n_states), ndim, (n + i,)) for i, ag in enumerate(spec.agents)),
         ]
-        return np.broadcast_to(np.ravel_multi_index(parts, state_dims), out_dims).ravel()
+        return np.broadcast_to(np.ravel_multi_index(parts, state_dims), tail_dims).ravel()
 
     rng = np.random.default_rng(seed)
     state = int(rng.integers(n_states))
@@ -138,41 +141,42 @@ def simulate(
     # small arrays per state, which would leave a fragmented heap behind. Each
     # cumulative row is divided by its last entry, so the last outcome of
     # positive probability ends at exactly 1.0 and no uniform in [0, 1) can
-    # land on a zero-probability outcome past it.
+    # land on a zero-probability outcome past it. The step loop goes through
+    # memoryviews, which skips numpy's per-call dispatch.
     cum_rows = np.empty((n_states, n_out))
-    nxt_rows = np.empty((n_states, n_out), dtype=np.int64)
-    filled = np.zeros(n_states, dtype=bool)
-    for t in range(horizon):
-        states[t] = state
-        if not filled[state]:
-            psi = np.unravel_index(state, state_dims)
-            cum = np.cumsum(_outcome_row(spec, probs, psi))
-            cum_rows[state] = cum / cum[-1]
-            nxt_rows[state] = next_row(psi)
-            filled[state] = True
-        o = int(np.searchsorted(cum_rows[state], u[t], side="right"))
-        outcomes[t] = o
-        state = int(nxt_rows[state, o])
+    nxt_rows = np.empty((n_states, n_tail), dtype=np.int64)
+    filled = bytearray(n_states)
+    with memoryview(cum_rows.reshape(-1)) as cum_mv, memoryview(nxt_rows.reshape(-1)) as nxt_mv, \
+            memoryview(u) as u_mv, memoryview(states) as states_mv, memoryview(outcomes) as outcomes_mv:
+        for t, u_t in enumerate(u_mv):
+            states_mv[t] = state
+            if not filled[state]:
+                psi = np.unravel_index(state, state_dims)
+                cum = np.cumsum(_outcome_row(spec, probs, psi))
+                cum_rows[state] = cum / cum[-1]
+                nxt_rows[state] = next_row(psi)
+                filled[state] = 1
+            lo = state * n_out
+            o = bisect_right(cum_mv, u_t, lo, lo + n_out) - lo
+            outcomes_mv[t] = o
+            state = nxt_mv[state * n_tail + o % n_tail]
     # the rows are the largest arrays here; free them before the window is decoded
     del cum_rows, nxt_rows
 
     psi_window = np.unravel_index(states[burn_in:], state_dims)
     out_window = np.unravel_index(outcomes[burn_in:], out_dims)
-    visits = []
     counts = []
     for i, ag in enumerate(spec.agents):
         cell_dims = (ag.n_memory, ag.n_states, ag.n_signals)
         flat = np.ravel_multi_index((psi_window[1 + i], psi_window[1 + n + i], out_window[1 + i]), cell_dims)
-        c = np.bincount(flat, minlength=int(np.prod(cell_dims))).reshape(cell_dims)
-        counts.append(c)
-        visits.append(c.sum(axis=-1))
+        counts.append(np.bincount(flat, minlength=int(np.prod(cell_dims))).reshape(cell_dims))
 
     return Trajectory(
         seed=seed,
         horizon=horizon,
         burn_in=burn_in,
         rng_algorithm=RNG_ALGORITHM,
-        visits=tuple(visits),
+        visits=tuple(c.sum(axis=-1) for c in counts),
         signal_counts=tuple(counts),
         states=states,
         outcomes=outcomes,

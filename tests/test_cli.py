@@ -268,6 +268,18 @@ def test_simulate_with_empty_window_warns_and_writes_zeros(tmp_path, capsys):
     assert comparison["max_abs_gap"] == 0.0
 
 
+@pytest.mark.parametrize("window", [("10", "100"), ("-5", "0")])
+def test_simulate_with_a_bad_window_writes_no_output_directory(tmp_path, capsys, window):
+    sigma = write_json(tmp_path / "sigma.json", SIGMA_STAR)
+    out = tmp_path / "d"
+    horizon, burn_in = window
+    code = main(["simulate", SPEC, "--alpha", "0.9", "--sigma", sigma,
+                 "--horizon", horizon, "--burn-in", burn_in, "--out", str(out)])
+    assert code == 1
+    assert "need horizon >= burn_in >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_is_deterministic_per_seed(tmp_path):
     sigma = write_json(tmp_path / "sigma.json", SIGMA_STAR)
     args = ["simulate", SPEC, "--alpha", "0.9", "--sigma", sigma,

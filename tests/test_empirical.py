@@ -150,6 +150,97 @@ def test_records_match_the_oracle_sampler():
         assert decoded_steps(spec, traj) == oracle_records(spec, sigma, horizon=3000, seed=4)
 
 
+def next_state(spec, state, o) -> int:
+    """The flat joint state that outcome o moves flat joint state `state` to."""
+    n = spec.n_agents
+    state_dims = spec.indexer().state_dims
+    z = np.unravel_index(state, state_dims)[1 : 1 + n]
+    _, *rest = np.unravel_index(o, outcome_dims(spec))
+    s, x_next, w_next = rest[:n], rest[n : 2 * n], rest[2 * n]
+    z_next = [ag.memory_rule[z[i], s[i]] for i, ag in enumerate(spec.agents)]
+    return int(np.ravel_multi_index((w_next, *z_next, *x_next), state_dims))
+
+
+def cumulative_row(spec, probs, state) -> np.ndarray:
+    """A state's cumulative outcome row divided by its last entry, as sampled."""
+    cum = np.cumsum(empirical._outcome_row(spec, probs, np.unravel_index(state, spec.indexer().state_dims)))
+    return cum / cum[-1]
+
+
+def searchsorted_steps(spec, sigma, horizon, seed):
+    """(states, outcomes) of the documented stream from a reference loop: one
+    np.searchsorted(side="right") per step over the state's normalized
+    cumulative row, with the next state decoded from the outcome."""
+    probs = strategy_arrays(sigma, spec)
+    rng = np.random.default_rng(seed)
+    state = int(rng.integers(spec.indexer().n_states))
+    rows, states, outcomes = {}, [], []
+    for u in rng.random(horizon):
+        if state not in rows:
+            rows[state] = cumulative_row(spec, probs, state)
+        o = int(np.searchsorted(rows[state], u, side="right"))
+        states.append(state)
+        outcomes.append(o)
+        state = next_state(spec, state, o)
+    return np.array(states, dtype=np.int64), np.array(outcomes, dtype=np.int64)
+
+
+def searchsorted_cases():
+    rng = np.random.default_rng(17)
+    spec = build_example1().at()
+    cases = [(spec, sigma_star(spec))]
+    for seed in range(8):
+        n_agents = 1 + seed % 4
+        spec = random_game(40 + seed, n_agents=n_agents, max_dim=2 if n_agents >= 3 else 3)
+        cases.append((spec, random_strategy(rng, spec, deterministic=seed % 2 == 1)))
+    cases.append(signal_only_game(13))
+    return cases
+
+
+def test_steps_equal_a_searchsorted_reference_loop():
+    for spec, sigma in searchsorted_cases():
+        traj = simulate(spec, sigma, horizon=2000, seed=3, burn_in=0)
+        states, outcomes = searchsorted_steps(spec, sigma, horizon=2000, seed=3)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.outcomes, outcomes)
+
+
+def test_uniforms_on_repeated_cumulative_values_resolve_like_searchsorted_right(ex1_spec, monkeypatch):
+    # under a deterministic sigma the outcomes of unplayed actions have zero
+    # probability, so their cumulative entries repeat the previous value. Each
+    # uniform below is such a repeated entry of the row of the state it meets.
+    spec, sigma = ex1_spec, sigma_star(ex1_spec)
+    probs = strategy_arrays(sigma, spec)
+    pick = np.random.default_rng(8)
+    state, path, uniforms, expected = 0, [], [], []
+    for _ in range(400):
+        path.append(state)
+        row = cumulative_row(spec, probs, state)
+        values, counts = np.unique(row[row < 1.0], return_counts=True)
+        u = pick.choice(values[counts > 1])
+        o = int(np.searchsorted(row, u, side="right"))
+        assert row[o] - (row[o - 1] if o else 0.0) > 0.0
+        uniforms.append(u)
+        expected.append(o)
+        state = next_state(spec, state, o)
+
+    class FixedUniforms:
+        def __init__(self, seed):
+            pass
+
+        def integers(self, n):
+            return 0
+
+        def random(self, size):
+            return np.array(uniforms)
+
+    monkeypatch.setattr(np.random, "default_rng", FixedUniforms)
+    traj = simulate(spec, sigma, horizon=len(uniforms), seed=0, burn_in=0)
+    monkeypatch.undo()
+    assert traj.states.tolist() == path
+    assert traj.outcomes.tolist() == expected
+
+
 def test_steps_are_kept_above_the_old_record_limit(ex1_spec):
     # per-step data used to be kept only up to 10**5 steps
     horizon, burn_in = 10**5 + 1, 100
@@ -168,6 +259,17 @@ def test_example_counts_are_pinned(ex1_spec):
     traj = simulate(ex1_spec, sigma_star(ex1_spec), horizon=3000, seed=4, burn_in=100)
     assert traj.signal_counts[0].tolist() == [[[611, 347], [538, 262]], [[290, 283], [319, 250]]]
     assert traj.signal_counts[1].tolist() == [[[561, 278], [586, 344]], [[373, 313], [248, 197]]]
+
+
+def test_three_agent_counts_are_pinned():
+    # random_game(31, n_agents=3, max_dim=2) under random_strategy(default_rng(31)),
+    # horizon 4000, seed 9, burn-in 200; a change here changes the stream
+    spec = random_game(31, n_agents=3, max_dim=2)
+    sigma = random_strategy(np.random.default_rng(31), spec)
+    traj = simulate(spec, sigma, horizon=4000, seed=9, burn_in=200)
+    assert traj.signal_counts[0].tolist() == [[[843, 808], [1086, 1063]]]
+    assert traj.signal_counts[1].tolist() == [[[748, 430], [458, 264]], [[782, 432], [427, 259]]]
+    assert traj.signal_counts[2].tolist() == [[[449, 413], [545, 493]], [[466, 421], [557, 456]]]
 
 
 def test_largest_uniform_never_lands_on_a_zero_probability_outcome(ex1_spec, monkeypatch):
