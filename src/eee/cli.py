@@ -40,6 +40,8 @@ EXIT_MAX_ITER = 4
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The arguments of `eee run`, as recorded in summary.json."""
+
     spec_path: str
     alpha: float | None
     policy: str
@@ -47,14 +49,6 @@ class RunConfig:
     tol: float
     max_iter: int
     output_dir: str
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise SpecError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise SpecError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise SpecError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
 def _configure_logging():
@@ -174,28 +168,28 @@ def _trace_csv(trace: learning.IterationTrace, spec: GameSpec) -> str:
     return buf.getvalue()
 
 
-def _run_iteration(spec: GameSpec, config: RunConfig):
-    rule = learning.PolicyRule(config.policy, tau=config.tau)
-    return learning.q_value_iteration(
-        spec, rule, tol=config.tol, max_iter=config.max_iter
-    )
-
-
 def cmd_run(args) -> int:
+    # every argument fails before the output directory; those the spec does not bound, before reading it
+    learning.require_tol(args.tol)
+    learning.require_max_iter(args.max_iter)
+    if args.alpha is not None:
+        game_model.require_alpha(args.alpha)
+    spec = _load_spec(args.spec, args.alpha)
+    rule = learning.PolicyRule(args.policy, tau=args.tau)
+    if rule.kind == "softmax":
+        rule.resolve_tau(spec)
+    out = _output_dir(args.out, "run")
     config = RunConfig(
         spec_path=args.spec,
         alpha=args.alpha,
         policy=args.policy,
-        tau=None if args.tau is None else tuple(args.tau),
+        tau=rule.tau,
         tol=args.tol,
         max_iter=args.max_iter,
-        output_dir=args.out or "",
+        output_dir=str(out),
     )
-    spec = _load_spec(config.spec_path, config.alpha)
-    out = _output_dir(args.out, "run")
-    config = dataclasses.replace(config, output_dir=str(out))
     log.info("running %s policy on %s (alpha=%s)", config.policy, config.spec_path, config.alpha)
-    trace, report = _run_iteration(spec, config)
+    trace, report = learning.q_value_iteration(spec, rule, tol=args.tol, max_iter=args.max_iter)
     log.info("outcome %s at iteration %d (residual %.3e)", report.outcome, report.at_iter, report.residual)
     for step in trace.steps[:3] + trace.steps[-3:]:
         log.debug("iter %d: dq=%.3e dsigma=%s", step.t, step.dq, step.dsigma)
@@ -245,12 +239,10 @@ def cmd_sweep(args) -> int:
             spec = _load_spec(args.spec, alpha)
             coupling = coupling_bounds.coupling_value(spec)
             row["lambda"] = repr(coupling.lam)
-            config = RunConfig(
-                spec_path=args.spec, alpha=alpha, policy=args.policy,
-                tau=None if args.tau is None else tuple(args.tau),
-                tol=args.tol, max_iter=args.max_iter, output_dir=str(out),
-            )
-            trace, report = _run_iteration(spec, config)
+            learning.require_tol(args.tol)  # checked in run's order: tol, max_iter, then tau
+            learning.require_max_iter(args.max_iter)
+            rule = learning.PolicyRule(args.policy, tau=args.tau)
+            trace, report = learning.q_value_iteration(spec, rule, tol=args.tol, max_iter=args.max_iter)
             row["outcome"] = report.outcome
             row["steps"] = report.period if report.outcome == "cycle" else report.at_iter
             row["final_q_norm"] = repr(trace.final_q.max_norm())
@@ -296,9 +288,12 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _load_spec(args.spec, args.alpha)
-    out = _output_dir(args.out, "bounds")
     coupling = coupling_bounds.coupling_value(spec, allow_fallback=args.allow_fallback)
     diag_spec, _ = coupling_bounds.with_references(spec, allow_fallback=args.allow_fallback)
+    if not args.sigma:  # the greedy run's controls fail before the output directory
+        learning.require_tol(args.tol)
+        learning.require_max_iter(args.max_iter)
+    out = _output_dir(args.out, "bounds")
 
     xi = None
     pi = None

@@ -144,8 +144,7 @@ class ConvexFamily:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise SpecError(f"alpha must lie in [0, 1], got {self.alpha}")
+        require_alpha(self.alpha)
         if self.base.uncoupled_env is None or any(
             ag.uncoupled_local is None for ag in self.base.agents
         ):
@@ -276,6 +275,12 @@ def require_valid(spec: GameSpec) -> None:
 # construction
 
 
+def require_alpha(alpha: float) -> None:
+    """A blend weight must lie in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise SpecError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def interpolate(family: ConvexFamily, alpha: float) -> GameSpec:
     """Blend coupled kernels with the uncoupled reference at weight alpha.
 
@@ -283,8 +288,7 @@ def interpolate(family: ConvexFamily, alpha: float) -> GameSpec:
     and likewise for each agent's local kernels; the uncoupled references are
     retained on the result so coupling quantities remain computable.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise SpecError(f"alpha must lie in [0, 1], got {alpha}")
+    require_alpha(alpha)
     base = family.base
     env = alpha * base.env_kernels + (1.0 - alpha) * base.uncoupled_env[None, :, :]
     agents = []
@@ -314,86 +318,13 @@ def interpolate(family: ConvexFamily, alpha: float) -> GameSpec:
 
 
 def build_example1() -> ConvexFamily:
-    """The bundled two-agent four-environment benchmark game.
+    """The bundled two-agent four-environment benchmark game, read from
+    example1_path(), at the default blend weight 0.9.
 
     Two agents, two signals/local states/memory states/actions each, memory
-    rule z_next = s, identical discounts 0.7, default blend weight 0.9.
+    rule z_next = s, identical discounts 0.7.
     """
-    m1 = [[0.98, 0.02], [0.09, 0.91], [0.79, 0.21], [0.74, 0.26]]
-    m2 = [[0.93, 0.07], [0.82, 0.18], [0.64, 0.36], [0.11, 0.89]]
-    phi_u = [
-        [0.36, 0.42, 0.05, 0.17],
-        [0.06, 0.42, 0.33, 0.19],
-        [0.34, 0.03, 0.03, 0.60],
-        [0.39, 0.29, 0.24, 0.08],
-    ]
-    phi_c = [
-        # joint action (1,1)
-        [
-            [0.29, 0.09, 0.15, 0.47],
-            [0.11, 0.06, 0.19, 0.64],
-            [0.25, 0.29, 0.21, 0.25],
-            [0.11, 0.40, 0.02, 0.47],
-        ],
-        # joint action (1,2)
-        [
-            [0.06, 0.51, 0.20, 0.23],
-            [0.48, 0.11, 0.30, 0.11],
-            [0.31, 0.39, 0.22, 0.08],
-            [0.32, 0.01, 0.24, 0.43],
-        ],
-        # joint action (2,1)
-        [
-            [0.39, 0.17, 0.20, 0.24],
-            [0.20, 0.48, 0.05, 0.27],
-            [0.09, 0.48, 0.30, 0.13],
-            [0.23, 0.07, 0.22, 0.48],
-        ],
-        # joint action (2,2)
-        [
-            [0.22, 0.27, 0.26, 0.25],
-            [0.09, 0.35, 0.47, 0.09],
-            [0.38, 0.27, 0.22, 0.13],
-            [0.23, 0.04, 0.44, 0.29],
-        ],
-    ]
-    # rows are (x, s) pairs, x-major
-    local_c1 = [
-        [[0.80, 0.20], [0.26, 0.74], [0.84, 0.16], [0.93, 0.07]],
-        [[0.82, 0.18], [0.60, 0.40], [0.24, 0.76], [0.35, 0.65]],
-    ]
-    local_c2 = [
-        [[0.34, 0.66], [0.62, 0.38], [0.64, 0.36], [0.62, 0.38]],
-        [[0.17, 0.83], [0.61, 0.39], [0.37, 0.63], [0.48, 0.52]],
-    ]
-    local_u = np.full((4, 2), 0.5)
-    # stage rewards, rows actions and columns signals, identical across x
-    g1 = [[-48.0, -50.0], [-36.0, 1.0]]
-    g2 = [[31.0, -100.0], [-21.0, -37.0]]
-    memory = [[0, 1], [0, 1]]  # next memory equals the observed signal
-
-    def agent(m, local, g):
-        return AgentSpec(
-            n_states=2,
-            n_actions=2,
-            n_signals=2,
-            n_memory=2,
-            signal_kernel=m,
-            local_kernels=local,
-            memory_rule=memory,
-            reward=[g, g],
-            discount=0.7,
-            temperature=1.0,
-            uncoupled_local=local_u,
-        )
-
-    base = GameSpec(
-        n_env=4,
-        env_kernels=np.array(phi_c),
-        agents=(agent(m1, local_c1, g1), agent(m2, local_c2, g2)),
-        uncoupled_env=np.array(phi_u),
-    )
-    return ConvexFamily(base=base, alpha=0.9)
+    return ConvexFamily(base=load_game(example1_path()), alpha=0.9)
 
 
 # ---------------------------------------------------------------------------

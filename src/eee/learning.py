@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -201,12 +200,21 @@ def max_metric_strategy(sigma, sigma_bar) -> float:
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
 
 
-def _greedy_fingerprint(q_tables) -> bytes:
-    return b"|".join(np.argmax(t, axis=-1).astype(np.int64).tobytes() for t in q_tables)
+def _argmax_fingerprints(tables) -> tuple[bytes, ...]:
+    """Per agent, the bytes of the argmax action table; equal for Q and its greedy policy."""
+    return tuple(np.argmax(t, axis=-1).astype(np.int64).tobytes() for t in tables)
 
 
-def _sigma_fingerprints(sigma: Strategy) -> tuple[bytes, ...]:
-    return tuple(np.argmax(p, axis=-1).astype(np.int64).tobytes() for p in sigma.probs)
+def require_tol(tol: float) -> None:
+    """The convergence tolerance of a run must be positive."""
+    if tol <= 0:
+        raise SpecError(f"tol must be positive, got {tol}")
+
+
+def require_max_iter(max_iter: int) -> None:
+    """A run needs at least one iteration."""
+    if max_iter < 1:
+        raise SpecError(f"max_iter must be >= 1, got {max_iter}")
 
 
 def q_value_iteration(
@@ -219,20 +227,16 @@ def q_value_iteration(
     """Run the three-step dynamics until convergence, a cycle, or the cap.
 
     Convergence requires a Q step below tol and a greedy policy unchanged
-    over the last two iterations. Greedy runs cycle when an earlier exact
-    policy recurs at distance >= 2; softmax runs cycle when the current Q
-    matches an earlier iterate within tol while the one-step distance is
-    still at least tol.
+    over the last two iterations. Cycles are the CycleDetector's verdict for
+    the rule's policy kind, checked once per iteration.
 
     Greedy runs solve each distinct policy's chain once: a one-hot policy is
     determined by its argmax fingerprint, so a recurring policy reuses the
     model of its first solve. Softmax runs solve the chain every iteration.
     """
     require_valid(spec)
-    if tol <= 0:
-        raise SpecError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise SpecError(f"max_iter must be >= 1, got {max_iter}")
+    require_tol(tol)
+    require_max_iter(max_iter)
     q = zeros_q(spec) if q0 is None else QTable(tables=tuple(np.array(t, dtype=float) for t in q_arrays(q0)))
     ceiling = max(ag.reward_ceiling / (1.0 - ag.discount) for ag in spec.agents)
     if q.max_norm() > ceiling + 1e-9:
@@ -240,59 +244,33 @@ def q_value_iteration(
 
     tau = rule.resolve_tau(spec) if rule.kind == "softmax" else None
     trace = IterationTrace(rule=rule)
-    seen: dict[bytes, int] = {}
-    models: dict[bytes, ConsistentModel] = {}
-    sigma_fp_history: list[tuple[bytes, ...]] = []
-    q_flat_history: list[np.ndarray] = []
-    greedy_fps: list[bytes] = [_greedy_fingerprint(q.tables)]
+    detector = CycleDetector(rule.kind, tol)
+    models: dict[tuple[bytes, ...], ConsistentModel] = {}
+    greedy_fps = [_argmax_fingerprints(q.tables)]
     prev_sigma: Strategy | None = None
-    agent_slices = _agent_flat_slices(q.tables)
 
     last_dq = math.inf
     for t in range(max_iter):
-        if rule.kind == "softmax":
-            q_flat = q.flat()
-            hit = _softmax_cycle_scan(q_flat, q_flat_history, trace.dq_history, tol)
-            if hit is not None:
-                period = t - hit
-                agents = _varying_agents_q(q_flat_history + [q_flat], hit, t, agent_slices, tol)
-                sigma = softmax_policy(q, tau)
-                _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, consistent_model(spec, sigma))
-                trace.final_q, trace.final_sigma = q, sigma
-                return trace, TerminationReport(
-                    outcome="cycle", at_iter=t, residual=last_dq,
-                    period=period, first_seen=hit, cycling_agents=agents,
-                )
-            q_flat_history.append(q_flat)
-
         sigma = greedy_policy(q) if rule.kind == "greedy" else softmax_policy(q, tau)
-
+        cycle = detector.push(t, q, sigma, last_dq)
         if rule.kind == "greedy":
-            fps = _sigma_fingerprints(sigma)
-            fp = b"|".join(fps)
-            sigma_fp_history.append(fps)
-            if fp in seen and t - seen[fp] >= 2:
-                first = seen[fp]
-                agents = _varying_agents_sigma(sigma_fp_history, first, t)
-                _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, models[fp])
-                trace.final_q, trace.final_sigma = q, sigma
-                return trace, TerminationReport(
-                    outcome="cycle", at_iter=t, residual=last_dq,
-                    period=t - first, first_seen=first, cycling_agents=agents,
-                )
-            seen[fp] = t
+            fp = greedy_fps[-1]  # sigma's fingerprint, as sigma is one-hot at q's argmax
             if fp not in models:
                 models[fp] = _model_at(spec, sigma, t)
             mu = models[fp]
         else:
             mu = _model_at(spec, sigma, t)
+        if cycle is not None:
+            _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, mu)
+            trace.final_q, trace.final_sigma = q, sigma
+            return trace, cycle
 
         q_next = bellman_update(q, mu, spec)
         dq = max_metric_q(q_next, q)
         dsigma = max_metric_strategy(sigma, prev_sigma) if prev_sigma is not None else math.nan
         trace.record(TraceStep(t=t, q=q, sigma=sigma, mu=mu, dq=dq, dsigma=dsigma))
 
-        greedy_fps.append(_greedy_fingerprint(q_next.tables))
+        greedy_fps.append(_argmax_fingerprints(q_next.tables))
         if dq < tol and t >= 1 and greedy_fps[-1] == greedy_fps[-2] == greedy_fps[-3]:
             trace.final_q = q_next
             trace.final_sigma = greedy_policy(q_next) if rule.kind == "greedy" else softmax_policy(q_next, tau)
@@ -319,12 +297,6 @@ def _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, mu) -> None:
     dq = max_metric_q(bellman_update(q, mu, spec), q)
     dsigma = max_metric_strategy(sigma, prev_sigma) if prev_sigma is not None else math.nan
     trace.record(TraceStep(t=t, q=q, sigma=sigma, mu=mu, dq=dq, dsigma=dsigma), always=True)
-
-
-def _agent_flat_slices(tables) -> list[slice]:
-    sizes = [t.size for t in tables]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(sizes))]
 
 
 def _softmax_cycle_scan(q_flat, history, dq_history, tol) -> int | None:
@@ -354,67 +326,76 @@ def _softmax_cycle_scan(q_flat, history, dq_history, tol) -> int | None:
     return None
 
 
-def _varying_agents_sigma(fp_history, first, t) -> tuple[int, ...]:
-    window = fp_history[first : t + 1]
-    return tuple(
-        i + 1
-        for i in range(len(window[0]))
-        if any(step[i] != window[0][i] for step in window[1:])
-    )
+class CycleDetector:
+    """The cycle rule of one policy kind, fed one iterate at a time.
 
+    push(t, q, sigma, last_dq) takes iteration t's Q table and policy and the
+    step distance of the iterate pushed before it; it returns the cycle
+    report, or None. Greedy: an exact policy recurs at an iteration distance
+    of at least 2. Softmax: Q matches an iterate at least two pushes back
+    within tol while the step distance has stalled (_softmax_cycle_scan).
+    The softmax scan counts pushes, so a thinned trace is scanned as
+    recorded; reports give iteration numbers, and the residual is the step
+    distance pushed with the recurrence.
+    """
 
-def _varying_agents_q(flat_history, first, t, agent_slices, tol) -> tuple[int, ...]:
-    window = np.stack(flat_history[first : t + 1])
-    out = []
-    for i, sl in enumerate(agent_slices):
-        seg = window[:, sl]
-        if np.max(np.abs(seg - seg[0])) >= tol:
-            out.append(i + 1)
-    return tuple(out)
+    def __init__(self, kind: str, tol: float):
+        self.kind = kind
+        self.tol = tol
+        self._ts: list[int] = []
+        self._dqs: list[float] = []  # step distance of every push but the latest
+        self._history: list = []  # per push: agent fingerprints (greedy) or flat Q (softmax)
+        self._seen: dict[tuple[bytes, ...], int] = {}  # greedy: policy fingerprint -> latest push
+
+    def push(self, t: int, q: QTable, sigma: Strategy, last_dq: float) -> TerminationReport | None:
+        k = len(self._ts)
+        if k:
+            self._dqs.append(last_dq)
+        self._ts.append(t)
+        if self.kind == "greedy":
+            fps = _argmax_fingerprints(sigma.probs)
+            self._history.append(fps)
+            j = self._seen.get(fps)
+            self._seen[fps] = k
+            if j is None or t - self._ts[j] < 2:
+                return None
+            first = self._history[j]
+            agents = tuple(
+                i + 1 for i in range(len(fps)) if any(h[i] != first[i] for h in self._history[j + 1 :])
+            )
+        else:
+            flat = q.flat()
+            j = _softmax_cycle_scan(flat, self._history, self._dqs, self.tol)
+            self._history.append(flat)
+            if j is None:
+                return None
+            window = np.stack(self._history[j:])
+            gaps = np.abs(window - window[0])
+            offs = np.cumsum([0] + [tab.size for tab in q.tables])
+            agents = tuple(
+                i + 1 for i in range(len(q.tables)) if np.max(gaps[:, offs[i] : offs[i + 1]]) >= self.tol
+            )
+        return TerminationReport(
+            outcome="cycle", at_iter=t, residual=last_dq,
+            period=t - self._ts[j], first_seen=self._ts[j], cycling_agents=agents,
+        )
 
 
 def detect_cycle(trace: IterationTrace, tol: float = 1e-9) -> TerminationReport | None:
-    """Scan a recorded trace for the cycle rule matching its policy kind.
+    """Replay a recorded trace through the CycleDetector of its policy kind.
 
-    Greedy traces cycle on an exact recurring policy at distance >= 2;
-    softmax traces cycle on a Q recurrence within tol while the step
-    distance is still at least tol. Returns None when no cycle is present.
-    As in the live report, the residual is the step distance recorded just
-    before the recurrence. Thinned traces (beyond the retention cap) are
-    scanned as recorded.
+    Returns None when no cycle is present. On an unthinned trace of a run
+    this is the run's own cycle report.
     """
-    steps = trace.steps
-    if not steps:
+    if not trace.steps:
         raise SpecError("trace is empty")
-    if trace.rule.kind == "greedy":
-        seen: dict[bytes, int] = {}
-        history = []
-        for k, step in enumerate(steps):
-            fps = _sigma_fingerprints(step.sigma)
-            history.append(fps)
-            fp = b"|".join(fps)
-            if fp in seen and step.t - seen[fp] >= 2:
-                first = seen[fp]
-                first_pos = next(j for j, s in enumerate(steps) if s.t == first)
-                agents = _varying_agents_sigma(history, first_pos, k)
-                return TerminationReport(
-                    outcome="cycle", at_iter=step.t, residual=steps[k - 1].dq,
-                    period=step.t - first, first_seen=first, cycling_agents=agents,
-                )
-            seen[fp] = step.t
-        return None
-    flats = [step.q.flat() for step in steps]
-    dqs = [step.dq for step in steps]
-    agent_slices = _agent_flat_slices(steps[0].q.tables)
-    for k in range(4, len(steps)):
-        t = steps[k].t
-        hit = _softmax_cycle_scan(flats[k], flats[:k], dqs[:k], tol)
-        if hit is not None:
-            return TerminationReport(
-                outcome="cycle", at_iter=t, residual=dqs[k - 1],
-                period=t - steps[hit].t, first_seen=steps[hit].t,
-                cycling_agents=_varying_agents_q(flats, hit, k, agent_slices, tol),
-            )
+    detector = CycleDetector(trace.rule.kind, tol)
+    last_dq = math.inf
+    for step in trace.steps:
+        report = detector.push(step.t, step.q, step.sigma, last_dq)
+        if report is not None:
+            return report
+        last_dq = step.dq
     return None
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from eee import chain_analysis, learning
 from eee.cli import _load_spec, main
-from eee.game_model import example1_path, save_game
+from eee.game_model import build_example1, example1_path, save_game
 
 from conftest import sigma_star, signal_only_game
 
@@ -53,7 +53,7 @@ def test_validate_accepts_the_bundled_game(capsys):
 
 
 def test_validate_names_the_broken_row(tmp_path, capsys):
-    doc = json.loads(open(SPEC).read())
+    doc = json.loads(Path(SPEC).read_text())
     doc["uncoupled_env"][0] = [0.5, 0.25, 0.125, 0.0]
     bad = write_json(tmp_path / "bad.json", doc)
     assert main(["validate", bad]) == 1
@@ -238,13 +238,14 @@ def test_bounds_with_a_fixed_strategy_builds_each_chain_once(tmp_path, monkeypat
 
 
 def test_bounds_needs_references_unless_told_otherwise(tmp_path, capsys):
-    doc = json.loads(open(SPEC).read())
+    doc = json.loads(Path(SPEC).read_text())
     del doc["uncoupled_env"]
     for ag in doc["agents"]:
         del ag["uncoupled_local"]
     stripped = write_json(tmp_path / "stripped.json", doc)
     assert main(["bounds", stripped, "--out", str(tmp_path / "nf")]) == 1
     assert "uncoupled environment kernel missing" in capsys.readouterr().err
+    assert not (tmp_path / "nf").exists()
     out = tmp_path / "fb"
     assert main(["bounds", stripped, "--allow-fallback", "--out", str(out)]) == 0
     bj = json.loads((out / "bounds.json").read_text())
@@ -278,6 +279,30 @@ def test_simulate_with_a_bad_window_writes_no_output_directory(tmp_path, capsys,
     assert code == 1
     assert "need horizon >= burn_in >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--policy", "softmax", "--tau", "1", "2", "3"], "expected 2 temperatures, got 3"),
+    (["run", "--policy", "softmax", "--tau", "-1"], "softmax temperatures must be positive"),
+    (["bounds", "--tol", "-1"], "tol must be positive"),
+], ids=["run-tau-count", "run-tau-sign", "bounds-tol"])
+def test_a_bad_run_argument_writes_no_output_directory(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main([argv[0], SPEC, "--alpha", "0.9", *argv[1:], "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy", ["greedy", "softmax"])
+def test_build_example1_runs_the_bundled_file(tmp_path, policy):
+    out = tmp_path / "r"
+    main(["run", SPEC, "--alpha", "0.9", "--policy", policy, "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    trace, report = learning.q_value_iteration(build_example1().at(0.9), learning.PolicyRule(policy))
+    assert summary["final_q_norm"] == trace.final_q.max_norm()
+    assert summary["residual"] == report.residual
+    assert summary["sigma"] == [p.tolist() for p in trace.final_sigma.probs]
+    assert summary["mu"] == [m.tolist() for m in trace.final_mu.mu]
 
 
 def test_simulate_is_deterministic_per_seed(tmp_path):

@@ -233,12 +233,32 @@ def test_detect_cycle_ignores_constant_policies():
     assert detect_cycle(trace) is None
 
 
-def test_detect_cycle_reproduces_the_live_report(ex1_family):
-    spec = ex1_family.at(1.0)
-    for rule in (PolicyRule("greedy"), PolicyRule("softmax", tau=1.0)):
-        trace, report = q_value_iteration(spec, rule, max_iter=500)
-        assert report.outcome == "cycle"
-        assert detect_cycle(trace) == report
+REPLAY_CASES = [
+    # ex1 across the blend: both policies converge, except at full coupling where both cycle
+    *(
+        pytest.param("ex1", alpha, kind, 1.0, 500, outcome, id=f"ex1-{alpha}-{kind}")
+        for alpha, outcome in ((0.0, "converged"), (0.5, "converged"), (0.9, "converged"), (1.0, "cycle"))
+        for kind in ("greedy", "softmax")
+    ),
+    # random_game(seed, max_dim=2, coupling=1.0)
+    pytest.param("random", 32, "greedy", None, 100, "cycle", id="game32-greedy"),
+    pytest.param("random", 104, "greedy", None, 100, "cycle", id="game104-greedy"),
+    pytest.param("random", 197, "greedy", None, 100, "cycle", id="game197-greedy"),
+    pytest.param("random", 0, "greedy", None, 100, "converged", id="game0-greedy"),
+    pytest.param("random", 1, "softmax", 0.01, 100, "converged", id="game1-softmax"),
+    pytest.param("random", 2, "softmax", 1.0, 100, "converged", id="game2-softmax"),
+    pytest.param("random", 196, "softmax", 0.01, 100, "max_iter", id="game196-softmax"),
+    pytest.param("random", 5, "greedy", None, 3, "max_iter", id="game5-greedy"),
+    pytest.param("random", 6, "softmax", 0.01, 3, "max_iter", id="game6-softmax"),
+]
+
+
+@pytest.mark.parametrize("game, key, kind, tau, max_iter, outcome", REPLAY_CASES)
+def test_detect_cycle_reproduces_the_live_report(ex1_family, game, key, kind, tau, max_iter, outcome):
+    spec = ex1_family.at(key) if game == "ex1" else random_game(key, max_dim=2, coupling=1.0)
+    trace, report = q_value_iteration(spec, PolicyRule(kind, tau=tau), max_iter=max_iter)
+    assert report.outcome == outcome
+    assert detect_cycle(trace) == (report if outcome == "cycle" else None)
 
 
 def test_detect_cycle_names_the_varying_softmax_agent():
