@@ -146,15 +146,22 @@ def build_joint_transition(spec: GameSpec, sigma) -> JointTransition:
     product strategy at (z, x), the environment kernel times each agent's
     signal-averaged local step. Joint states are flattened in indexer order.
 
-    Each operand is broadcast on its axes of the (w, z, x, w', z', x') tensor.
     Per joint action k, in storage order, every entry is the product
     F_n[a_n] * sigma_n[a_n] * ... * F_1[a_1] * sigma_1[a_1] * env_k, taken
     left to right from 1.0, and is then added to the sum. That is the order
     in which np.einsum multiplies the same operands (one step, operands last
     first), so the matrix equals the einsum builder's bit for bit. Keep it:
     the condition number of a reducible reference chain is rounding noise and
-    moves with the last bit of the matrix. numpy arrays have at most 64 axes
-    and the tensor has 2 + 4n, which caps n at MAX_AGENTS.
+    moves with the last bit of the matrix.
+
+    Only where that arithmetic happens is chosen for speed. The sum is held
+    agent-grouped, on axes (w, w', p_1, p_1', ..., p_n, p_n') with
+    p_i = (z_i, x_i), so each agent's factor is one contiguous block. Agent
+    1's two products go into a `leaf` buffer (n^2 / W doubles, no w' axis)
+    and the environment product into a `prod` buffer (n^2 doubles); both are
+    reused across joint actions and freed before one permuting copy puts the
+    sum in indexer order. That copy has 2 + 4n axes, at most numpy's 64,
+    which caps n at MAX_AGENTS.
     """
     require_agent_cap(spec)
     n_ag = spec.n_agents
@@ -165,18 +172,35 @@ def build_joint_transition(spec: GameSpec, sigma) -> JointTransition:
     probs = strategy_arrays(sigma, spec)
     factors = agent_step_factors(spec)
 
-    ndim = 2 + 4 * n_ag
-    w, wn = 0, 1 + 2 * n_ag
-    big = np.zeros(indexer.state_dims + indexer.state_dims)
+    n_env = spec.n_env
+    sizes = [ag.n_memory * ag.n_states for ag in spec.agents]
+    ndim = 2 + 2 * n_ag
+    grouped = (n_env, n_env) + tuple(d for p in sizes for d in (p, p))
+    big = np.zeros(grouped)
+    prod = np.empty(grouped)
+    leaf = np.empty((n_env, 1) + grouped[2:])
     for k, a in enumerate(spec.joint_actions()):
         term = 1.0
         for i in reversed(range(n_ag)):
-            z, x = 1 + i, 1 + n_ag + i
-            zn, xn = wn + 1 + i, wn + 1 + n_ag + i
-            term = term * place_factor(factors[i][a[i]], ndim, (w, z, x, zn, xn))
-            term = term * place_factor(probs[i][:, :, a[i]], ndim, (z, x))
-        big += term * place_factor(spec.env_kernels[k], ndim, (w, wn))
-    return JointTransition(indexer=indexer, matrix=big.reshape(n, n))
+            p, pn = 2 + 2 * i, 3 + 2 * i
+            f = place_factor(factors[i][a[i]].reshape(n_env, sizes[i], sizes[i]), ndim, (0, p, pn))
+            s = place_factor(probs[i][:, :, a[i]].reshape(sizes[i]), ndim, (p,))
+            if i:
+                term = term * f
+                term *= s
+            else:
+                np.multiply(term, f, out=leaf)
+                leaf *= s
+        np.multiply(leaf, place_factor(spec.env_kernels[k], ndim, (0, 1)), out=prod)
+        big += prod
+    del leaf, prod
+
+    # split p_i into (z_i, x_i): agent i's axes are 2 + 4i .. 5 + 4i
+    split = (n_env, n_env) + tuple(d for ag in spec.agents for d in (ag.n_memory, ag.n_states) * 2)
+    end = 2 + 4 * n_ag
+    order = (0, *range(2, end, 4), *range(3, end, 4), 1, *range(4, end, 4), *range(5, end, 4))
+    matrix = big.reshape(split).transpose(order).reshape(n, n)
+    return JointTransition(indexer=indexer, matrix=matrix)
 
 
 def _as_matrix(T) -> np.ndarray:
@@ -192,9 +216,9 @@ def stationary_distribution(T) -> StationaryDistribution:
     """
     mat = _as_matrix(T)
     n = mat.shape[0]
-    pi = None
     try:
-        a = mat.T - np.eye(n)
+        a = mat.T.copy()
+        a.flat[:: n + 1] -= 1.0
         a[-1, :] = 1.0
         b = np.zeros(n)
         b[-1] = 1.0
@@ -202,12 +226,11 @@ def stationary_distribution(T) -> StationaryDistribution:
         if np.all(np.isfinite(cand)) and cand.min() > -1e-9:
             cand = np.clip(cand, 0.0, None)
             cand = cand / cand.sum()
-            if _residual(cand, mat) <= SOLVER_TOL:
-                pi = cand
+            res = _residual(cand, mat)
+            if res <= SOLVER_TOL:
+                return StationaryDistribution(pi=cand, residual=res, method="direct")
     except np.linalg.LinAlgError:
         pass
-    if pi is not None:
-        return StationaryDistribution(pi=pi, residual=_residual(pi, mat), method="direct")
 
     cand = np.full(n, 1.0 / n)
     best = np.inf
@@ -279,13 +302,17 @@ def meyer_condition_number(T_ref) -> float:
     mat = _as_matrix(T_ref)
     pi = stationary_distribution(mat).pi
     n = mat.shape[0]
-    one_pi = np.outer(np.ones(n), pi)
+    # one n x n buffer holds I - T + 1 pi^T, then its inverse, then |A_sharp|;
+    # each entry takes the same operations as the textbook formula
+    buf = np.negative(mat)
+    buf.flat[:: n + 1] += 1.0
+    buf += pi
     try:
-        fundamental = np.linalg.inv(np.eye(n) - mat + one_pi)
+        buf = np.linalg.inv(buf)
     except np.linalg.LinAlgError:
         raise StationaryError("fundamental matrix is singular: the chain is not ergodic") from None
-    sharp = fundamental - one_pi
-    return float(np.max(np.abs(sharp)))
+    buf -= pi
+    return float(np.max(np.abs(buf, out=buf)))
 
 
 def uncoupled_reference(spec: GameSpec) -> GameSpec:

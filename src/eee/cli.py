@@ -290,7 +290,11 @@ def cmd_bounds(args) -> int:
     spec = _load_spec(args.spec, args.alpha)
     coupling = coupling_bounds.coupling_value(spec, allow_fallback=args.allow_fallback)
     diag_spec, _ = coupling_bounds.with_references(spec, allow_fallback=args.allow_fallback)
-    if not args.sigma:  # the greedy run's controls fail before the output directory
+    # a bad profile or bad run controls fail before the output directory
+    if args.sigma:
+        sigma = learning.Strategy(probs=chain_analysis.strategy_arrays(
+            _load_profile(args.sigma, "sigma"), spec))
+    else:
         learning.require_tol(args.tol)
         learning.require_max_iter(args.max_iter)
     out = _output_dir(args.out, "bounds")
@@ -298,8 +302,6 @@ def cmd_bounds(args) -> int:
     xi = None
     pi = None
     if args.sigma:
-        sigma = learning.Strategy(probs=chain_analysis.strategy_arrays(
-            _load_profile(args.sigma, "sigma"), spec))
         sigma_source = "supplied"
         if sigma.is_deterministic():
             # one solve of the coupled chain serves both the model and the diagnostics;

@@ -300,7 +300,8 @@ def _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, mu) -> None:
 
 
 def _softmax_cycle_scan(q_flat, history, dq_history, tol) -> int | None:
-    """Matching iterate index at lag >= 2, or None.
+    """Matching iterate index at lag >= 2, or None; history holds one flat Q
+    per row.
 
     A recurrence alone does not separate a genuine orbit from a damped
     oscillation spiralling into a fixed point, so a candidate period p only
@@ -314,8 +315,7 @@ def _softmax_cycle_scan(q_flat, history, dq_history, tol) -> int | None:
     hi = t - 2
     if hi < lo:
         return None
-    stack = np.stack(history[lo : hi + 1])
-    diffs = np.max(np.abs(stack - q_flat), axis=1)
+    diffs = np.max(np.abs(history[lo : hi + 1] - q_flat), axis=1)
     for k in range(diffs.size - 1, -1, -1):  # largest j first, smallest period
         if diffs[k] >= tol:
             continue
@@ -336,7 +336,8 @@ class CycleDetector:
     within tol while the step distance has stalled (_softmax_cycle_scan).
     The softmax scan counts pushes, so a thinned trace is scanned as
     recorded; reports give iteration numbers, and the residual is the step
-    distance pushed with the recurrence.
+    distance pushed with the recurrence. Softmax keeps its flat Q tables as
+    the rows of one array that doubles when full, so a scan reads a slice.
     """
 
     def __init__(self, kind: str, tol: float):
@@ -344,8 +345,9 @@ class CycleDetector:
         self.tol = tol
         self._ts: list[int] = []
         self._dqs: list[float] = []  # step distance of every push but the latest
-        self._history: list = []  # per push: agent fingerprints (greedy) or flat Q (softmax)
+        self._history: list = []  # greedy: agent fingerprints per push
         self._seen: dict[tuple[bytes, ...], int] = {}  # greedy: policy fingerprint -> latest push
+        self._rows = np.empty((0, 1))  # softmax: flat Q of push k in row k
 
     def push(self, t: int, q: QTable, sigma: Strategy, last_dq: float) -> TerminationReport | None:
         k = len(self._ts)
@@ -365,11 +367,15 @@ class CycleDetector:
             )
         else:
             flat = q.flat()
-            j = _softmax_cycle_scan(flat, self._history, self._dqs, self.tol)
-            self._history.append(flat)
+            if k == len(self._rows):
+                rows = np.empty((max(2 * k, 16), flat.size))
+                rows[:k] = self._rows
+                self._rows = rows
+            j = _softmax_cycle_scan(flat, self._rows[:k], self._dqs, self.tol)
+            self._rows[k] = flat
             if j is None:
                 return None
-            window = np.stack(self._history[j:])
+            window = self._rows[j : k + 1]
             gaps = np.abs(window - window[0])
             offs = np.cumsum([0] + [tab.size for tab in q.tables])
             agents = tuple(

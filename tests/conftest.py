@@ -1,13 +1,14 @@
 """Shared fixtures: the bundled example game, random valid games, and the
-einsum joint-matrix oracle."""
+oracles that replaced implementations are tested against."""
 
 import string
 
 import numpy as np
 import pytest
 
-from eee.chain_analysis import agent_step_factors, strategy_arrays
+from eee.chain_analysis import agent_step_factors, stationary_distribution, strategy_arrays
 from eee.game_model import AgentSpec, GameSpec, SpecError, build_example1
+from eee.learning import STALL_RATE
 
 
 def row_stochastic(rng, shape):
@@ -74,6 +75,37 @@ def random_game(seed, n_agents=2, max_dim=3, coupling=0.2, discount_range=(0.2, 
             for _ in range(n_joint)
         ]
     )
+    return GameSpec(n_env=n_env, env_kernels=env, agents=tuple(agents), uncoupled_env=env_u)
+
+
+def shaped_game(seed, n_env, shapes, coupling=0.2):
+    """A valid game with the given per-agent (Z, X, A, S) shapes, built like
+    random_game, so shapes outside its draws (W = 1, Z = 1) are covered."""
+    rng = np.random.default_rng(seed)
+    env_u = row_stochastic(rng, (n_env, n_env))
+    agents = []
+    for n_memory, n_states, n_actions, n_signals in shapes:
+        local_u = row_stochastic(rng, (n_states * n_signals, n_states))
+        local = np.stack([
+            (1.0 - coupling) * local_u + coupling * row_stochastic(rng, local_u.shape)
+            for _ in range(n_actions)
+        ])
+        agents.append(
+            AgentSpec(
+                n_states=n_states, n_actions=n_actions, n_signals=n_signals, n_memory=n_memory,
+                signal_kernel=row_stochastic(rng, (n_env, n_signals)),
+                local_kernels=local,
+                memory_rule=_recurrent_memory_rule(rng, n_memory, n_signals),
+                reward=rng.uniform(-1.0, 1.0, size=(n_states, n_actions, n_signals)),
+                discount=float(rng.uniform(0.2, 0.8)),
+                uncoupled_local=local_u,
+            )
+        )
+    n_joint = int(np.prod([a for _, _, a, _ in shapes]))
+    env = np.stack([
+        (1.0 - coupling) * env_u + coupling * row_stochastic(rng, (n_env, n_env))
+        for _ in range(n_joint)
+    ])
     return GameSpec(n_env=n_env, env_kernels=env, agents=tuple(agents), uncoupled_env=env_u)
 
 
@@ -157,6 +189,47 @@ def oracle_joint_matrix(spec, sigma) -> np.ndarray:
             operands.append(factors[i][ai])
         big += np.einsum(expr, *operands, optimize=True)
     return big.reshape(n, n)
+
+
+def oracle_meyer_condition_number(mat) -> float:
+    """kappa by the textbook formula, with 1 pi^T, an identity, I - T + 1 pi^T,
+    its inverse and the group inverse each held as its own n x n array.
+
+    This is the code chain_analysis.meyer_condition_number replaced with a
+    one-buffer version, kept as the differential oracle (compared with ==).
+    """
+    pi = stationary_distribution(mat).pi
+    n = mat.shape[0]
+    one_pi = np.outer(np.ones(n), pi)
+    fundamental = np.linalg.inv(np.eye(n) - mat + one_pi)
+    sharp = fundamental - one_pi
+    return float(np.max(np.abs(sharp)))
+
+
+def oracle_softmax_cycle_scan(q_flat, history, dq_history, tol):
+    """The softmax cycle scan over a list of flat Q vectors, stacked anew at
+    every call.
+
+    This is the code learning._softmax_cycle_scan replaced with a scan of a
+    row slice, kept as the differential oracle (compared exactly).
+    """
+    t = len(history)
+    if t < 4 or not (dq_history and dq_history[-1] >= tol):
+        return None
+    lo = t - t // 2
+    hi = t - 2
+    if hi < lo:
+        return None
+    stack = np.stack(history[lo : hi + 1])
+    diffs = np.max(np.abs(stack - q_flat), axis=1)
+    for k in range(diffs.size - 1, -1, -1):
+        if diffs[k] >= tol:
+            continue
+        j = lo + k
+        period = t - j
+        if j - 1 < len(dq_history) and dq_history[-1] >= STALL_RATE**period * dq_history[j - 1]:
+            return j
+    return None
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from eee.game_model import AgentSpec, GameSpec, SpecError
 
 from conftest import (
     oracle_joint_matrix,
+    oracle_meyer_condition_number,
     random_game,
     random_strategy,
     row_stochastic,
+    shaped_game,
     sigma_star,
     signal_only_game,
 )
@@ -117,6 +120,18 @@ def test_builder_equals_the_einsum_oracle_bit_for_bit(ex1_spec):
         for seed in range(3):
             spec = random_game(10 * n_agents + seed, n_agents=n_agents, max_dim=3 if n_agents < 4 else 2)
             cases.append((spec, random_strategy(rng, spec, deterministic=seed == 0)))
+    # the benchmark ladder's shape features: W = 1, an agent with Z = 1 (as in
+    # the fourth agent of n256), agents of unequal (Z, X, A), one-hot and mixed
+    shapes = [
+        (1, ((2, 3, 2, 2), (1, 2, 3, 2))),
+        (1, ((1, 1, 2, 2),)),
+        (2, ((2, 2, 2, 2),) * 3 + ((1, 2, 2, 2),)),
+        (3, ((3, 1, 2, 2), (1, 3, 3, 3), (2, 2, 1, 2))),
+    ]
+    for seed, (n_env, agents) in enumerate(shapes):
+        spec = shaped_game(seed, n_env, agents)
+        for deterministic in (True, False):
+            cases.append((spec, random_strategy(rng, spec, deterministic=deterministic)))
     for spec, sigma in cases:
         assert np.array_equal(build_joint_transition(spec, sigma).matrix, oracle_joint_matrix(spec, sigma))
 
@@ -126,6 +141,23 @@ def test_builder_takes_agents_up_to_numpys_axis_limit():
     spec, sigma = signal_only_game(MAX_AGENTS)
     T = build_joint_transition(spec, sigma)
     assert np.allclose(T.matrix, 0.5, atol=1e-15)
+
+
+def test_builder_peak_memory_stays_near_two_matrices():
+    """The builder holds the sum, one n^2 product and one n^2 / W leaf while it
+    runs, and the sum and the matrix in indexer order at the end. Keeping the
+    buffers alive through that final copy would add (1 + 1/W) n^2 doubles."""
+    spec = shaped_game(5, 3, ((2, 3, 2, 2),) * 3)  # 648 states
+    sigma = random_strategy(np.random.default_rng(5), spec)
+    n, w = spec.indexer().n_states, spec.n_env
+    tracemalloc.start()
+    try:
+        T = build_joint_transition(spec, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.matrix.shape == (n, n)
+    assert peak <= 1.05 * (2 + 1 / w) * n * n * 8
 
 
 def test_too_many_agents_raise_a_named_error_at_once():
@@ -284,6 +316,20 @@ def test_meyer_inequality_on_random_perturbations():
         assert gap <= 0.01 + 1e-12
         pi_bar = stationary_distribution(T_bar).pi
         assert np.max(np.abs(pi - pi_bar)) <= kappa * gap + 1e-12
+
+
+def test_meyer_constant_equals_the_textbook_oracle(ex1_spec):
+    """Same operations per entry as the textbook formula, so kappa is equal,
+    not close; that includes a reducible reference, whose kappa is rounding
+    noise (here the environment never moves, so each w is a closed class)."""
+    specs = [ex1_spec] + [random_game(60 + seed, max_dim=3) for seed in range(10)]
+    reducible = random_game(0, max_dim=2)
+    specs.append(dataclasses.replace(reducible, uncoupled_env=np.eye(reducible.n_env)))
+    for spec in specs:
+        ref = uncoupled_reference(spec)
+        T = build_joint_transition(ref, uniform_strategy(ref)).matrix
+        assert meyer_condition_number(T) == oracle_meyer_condition_number(T)
+    assert meyer_condition_number(T) > 1e12
 
 
 def test_meyer_rejects_reducible_chain():

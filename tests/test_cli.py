@@ -293,6 +293,18 @@ def test_a_bad_run_argument_writes_no_output_directory(tmp_path, capsys, argv, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("profile, code, message", [
+    (None, 2, "No such file or directory"),
+    ({"sigma": [[[1.0, 0.0]], [[1.0, 0.0]]]}, 1, "agent 1 strategy shape (1, 2), expected (2, 2, 2)"),
+], ids=["missing-file", "wrong-shape"])
+def test_bounds_with_a_bad_sigma_writes_no_output_directory(tmp_path, capsys, profile, code, message):
+    sigma = str(tmp_path / "nofile.json") if profile is None else write_json(tmp_path / "s.json", profile)
+    out = tmp_path / "ob"
+    assert main(["bounds", SPEC, "--alpha", "0.9", "--sigma", sigma, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policy", ["greedy", "softmax"])
 def test_build_example1_runs_the_bundled_file(tmp_path, policy):
     out = tmp_path / "r"

@@ -29,7 +29,7 @@ from eee.learning import (
     zeros_q,
 )
 
-from conftest import random_game, random_strategy, sigma_star
+from conftest import oracle_softmax_cycle_scan, random_game, random_strategy, sigma_star
 
 
 def single_state_q(values):
@@ -259,6 +259,31 @@ def test_detect_cycle_reproduces_the_live_report(ex1_family, game, key, kind, ta
     trace, report = q_value_iteration(spec, PolicyRule(kind, tau=tau), max_iter=max_iter)
     assert report.outcome == outcome
     assert detect_cycle(trace) == (report if outcome == "cycle" else None)
+
+
+@pytest.mark.parametrize("alpha, max_iter", [
+    (0.9264858860491111, 600),  # a slow period-2 spiral: candidates pass the stall test
+    (0.9, 600),  # converges at 137: candidates fail the stall test
+], ids=["spiral", "damped"])
+def test_softmax_scan_equals_the_stacking_oracle(ex1_family, alpha, max_iter):
+    trace, _ = q_value_iteration(ex1_family.at(alpha), PolicyRule("softmax"), max_iter=max_iter)
+    flats = [step.q.flat() for step in trace.steps]
+    rows = np.array(flats)
+    dqs = [step.dq for step in trace.steps]
+    found = []
+    for tol in (1e-9, 1e-3, 1e-2, 0.1):
+        detector = learning.CycleDetector("softmax", tol)  # its own rows, grown push by push
+        for t, step in enumerate(trace.steps):
+            want = oracle_softmax_cycle_scan(flats[t], flats[:t], dqs[:t], tol)
+            assert learning._softmax_cycle_scan(flats[t], rows[:t], dqs[:t], tol) == want
+            report = detector.push(step.t, step.q, step.sigma, dqs[t - 1] if t else math.inf)
+            if want is None:
+                assert report is None
+            else:
+                assert (report.first_seen, report.at_iter) == (trace.steps[want].t, step.t)
+            found.append(want)
+    assert any(j is None for j in found)
+    assert any(j is not None for j in found) == (alpha != 0.9)
 
 
 def test_detect_cycle_names_the_varying_softmax_agent():
