@@ -9,20 +9,16 @@ stationary mass per (z_i, x_i), and the largest signal probability.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .game_model import GameSpec, JointIndexer, SpecError
 
-if TYPE_CHECKING:
-    from .learning import Strategy
-
 MASS_FLOOR = 1e-12
 SOLVER_TOL = 1e-12
 POWER_ITER_CAP = 10**6
-MAX_JOINT_STATES = 10**6
 MAX_AGENTS = 15
 
 
@@ -71,29 +67,36 @@ class ChainDiagnostics:
     signal_ceiling: tuple[float, ...]
 
 
-def strategy_arrays(sigma, spec: GameSpec) -> tuple[np.ndarray, ...]:
-    """Validate and normalize a strategy profile against a spec.
+def profile_arrays(arrays, spec: GameSpec, what: str = "strategy") -> tuple[np.ndarray, ...]:
+    """Check per-agent probability tables against a spec, as float arrays.
 
-    Accepts a Strategy or any sequence of per-agent arrays shaped
-    (n_memory, n_states, n_actions). Rows must be probability vectors; sums
-    within 1e-9 of 1 are renormalized exactly.
+    what is "strategy", for tables shaped (n_memory, n_states, n_actions), or
+    "model", for (n_memory, n_states, n_signals). Entries must be finite and
+    nonnegative and rows must sum to 1 within 1e-9. A strategy's rows are
+    divided by their sums, exactly; a model is returned as given.
     """
-    arrays = getattr(sigma, "probs", sigma)
+    last = {"strategy": "n_actions", "model": "n_signals"}[what]
     if len(arrays) != spec.n_agents:
-        raise SpecError(f"strategy has {len(arrays)} agents, spec has {spec.n_agents}")
+        raise SpecError(f"{what} has {len(arrays)} agents, spec has {spec.n_agents}")
     out = []
     for i, (arr, ag) in enumerate(zip(arrays, spec.agents)):
         arr = np.asarray(arr, dtype=float)
-        want = (ag.n_memory, ag.n_states, ag.n_actions)
+        want = (ag.n_memory, ag.n_states, getattr(ag, last))
         if arr.shape != want:
-            raise SpecError(f"agent {i + 1} strategy shape {arr.shape}, expected {want}")
+            raise SpecError(f"agent {i + 1} {what} shape {arr.shape}, expected {want}")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise SpecError(f"agent {i + 1} strategy has a negative or non-finite entry")
+            raise SpecError(f"agent {i + 1} {what} has a negative or non-finite entry")
         sums = arr.sum(axis=-1)
         if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise SpecError(f"agent {i + 1} strategy rows do not sum to 1")
-        out.append(arr / sums[..., None])
+            raise SpecError(f"agent {i + 1} {what} rows do not sum to 1")
+        out.append(arr / sums[..., None] if what == "strategy" else arr)
     return tuple(out)
+
+
+def strategy_arrays(sigma, spec: GameSpec) -> tuple[np.ndarray, ...]:
+    """A Strategy, or any sequence of per-agent arrays, checked and
+    normalized by profile_arrays."""
+    return profile_arrays(getattr(sigma, "probs", sigma), spec)
 
 
 def _memory_indicator(ag) -> np.ndarray:
@@ -139,6 +142,26 @@ def require_agent_cap(spec: GameSpec) -> None:
         raise SpecError(f"{spec.n_agents} agents, above the limit of {MAX_AGENTS} for the joint chain")
 
 
+def require_bytes(nbytes: int, what: str) -> None:
+    """Reject an allocation of nbytes above the machine's physical memory, as
+    os.sysconf reports it, before any of it is made."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > budget:
+        raise SpecError(f"{what} need {nbytes} bytes, above the dense limit of {budget} bytes (physical memory)")
+
+
+def require_dense_chain(spec: GameSpec) -> None:
+    """Reject a joint chain whose dense path does not fit the byte budget.
+
+    The path holds every agent's step factor (agent_step_factors) and about
+    three n x n matrices: the kernel and the build's, the solve's or kappa's
+    working copies.
+    """
+    n = spec.indexer().n_states
+    factors = sum(ag.n_actions * spec.n_env * (ag.n_memory * ag.n_states) ** 2 for ag in spec.agents)
+    require_bytes(8 * (3 * n * n + factors), f"the {n} joint states of the dense chain")
+
+
 def build_joint_transition(spec: GameSpec, sigma) -> JointTransition:
     """Dense transition matrix over joint states (w, z_1..z_n, x_1..x_n).
 
@@ -164,11 +187,10 @@ def build_joint_transition(spec: GameSpec, sigma) -> JointTransition:
     which caps n at MAX_AGENTS.
     """
     require_agent_cap(spec)
+    require_dense_chain(spec)
     n_ag = spec.n_agents
     indexer = spec.indexer()
     n = indexer.n_states
-    if n > MAX_JOINT_STATES:
-        raise SpecError(f"joint state space has {n} states, above the dense limit {MAX_JOINT_STATES}")
     probs = strategy_arrays(sigma, spec)
     factors = agent_step_factors(spec)
 
@@ -255,10 +277,6 @@ def _residual(pi: np.ndarray, mat: np.ndarray) -> float:
     return float(np.max(np.abs(pi @ mat - pi)))
 
 
-def _state_tensor(pi: np.ndarray, indexer: JointIndexer) -> np.ndarray:
-    return pi.reshape(indexer.state_dims)
-
-
 def _agent_marginal(pi_tensor: np.ndarray, n_agents: int, i: int) -> np.ndarray:
     """Marginal over (w, z_i, x_i), axes ordered (w, z_i, x_i)."""
     keep = {0, 1 + i, 1 + n_agents + i}
@@ -268,8 +286,7 @@ def _agent_marginal(pi_tensor: np.ndarray, n_agents: int, i: int) -> np.ndarray:
 
 def model_from_stationary(spec: GameSpec, pi: np.ndarray) -> ConsistentModel:
     """Conditional signal law per (z_i, x_i) under a given stationary vector."""
-    indexer = spec.indexer()
-    tensor = _state_tensor(pi, indexer)
+    tensor = pi.reshape(spec.indexer().state_dims)
     mus = []
     for i, ag in enumerate(spec.agents):
         wzx = _agent_marginal(tensor, spec.n_agents, i)
@@ -328,12 +345,7 @@ def uncoupled_reference(spec: GameSpec) -> GameSpec:
             ag.uncoupled_local, (ag.n_actions, *ag.uncoupled_local.shape)
         ).copy()
         agents.append(replace(ag, local_kernels=local))
-    return GameSpec(
-        n_env=spec.n_env,
-        env_kernels=env,
-        agents=tuple(agents),
-        uncoupled_env=spec.uncoupled_env,
-    )
+    return replace(spec, env_kernels=env, agents=tuple(agents))
 
 
 def uniform_strategy(spec: GameSpec) -> tuple[np.ndarray, ...]:
@@ -359,7 +371,7 @@ def chain_diagnostics(spec: GameSpec, sigma, *, pi: np.ndarray | None = None) ->
 
     if pi is None:
         pi = stationary_distribution(build_joint_transition(spec, sigma)).pi
-    tensor = _state_tensor(pi, spec.indexer())
+    tensor = pi.reshape(spec.indexer().state_dims)
     masses = []
     ceilings = []
     for i, ag in enumerate(spec.agents):

@@ -178,6 +178,7 @@ def cmd_run(args) -> int:
     rule = learning.PolicyRule(args.policy, tau=args.tau)
     if rule.kind == "softmax":
         rule.resolve_tau(spec)
+    chain_analysis.require_dense_chain(spec)
     out = _output_dir(args.out, "run")
     config = RunConfig(
         spec_path=args.spec,
@@ -290,13 +291,14 @@ def cmd_bounds(args) -> int:
     spec = _load_spec(args.spec, args.alpha)
     coupling = coupling_bounds.coupling_value(spec, allow_fallback=args.allow_fallback)
     diag_spec, _ = coupling_bounds.with_references(spec, allow_fallback=args.allow_fallback)
-    # a bad profile or bad run controls fail before the output directory
+    # a bad profile, bad run controls or a chain too large fail before the output directory
     if args.sigma:
         sigma = learning.Strategy(probs=chain_analysis.strategy_arrays(
             _load_profile(args.sigma, "sigma"), spec))
     else:
         learning.require_tol(args.tol)
         learning.require_max_iter(args.max_iter)
+    chain_analysis.require_dense_chain(spec)
     out = _output_dir(args.out, "bounds")
 
     xi = None
@@ -484,13 +486,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SpecError, StationaryError, VanishingMassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -34,10 +34,6 @@ class CouplingReport:
     lam: float
     reference_source: str  # supplied | fallback
 
-    @property
-    def eps_varphi_max(self) -> float:
-        return max(self.eps_varphi)
-
 
 def with_references(spec: GameSpec, allow_fallback: bool = False) -> tuple[GameSpec, str]:
     """The spec with every uncoupled reference kernel present, and their source.
@@ -150,7 +146,6 @@ def model_perturbation_bound(
     diagnostics: ChainDiagnostics,
     sigma_distance: float,
     coupling: CouplingReport | None = None,
-    allow_fallback: bool = False,
 ) -> tuple[float, ...]:
     """Max-norm bound on the consistent-model gap between two strategy profiles.
 
@@ -161,7 +156,7 @@ def model_perturbation_bound(
     if sigma_distance < 0:
         raise SpecError("sigma_distance must be nonnegative")
     if coupling is None:
-        coupling = coupling_value(spec, allow_fallback=allow_fallback)
+        coupling = coupling_value(spec)
     coef = perturbation_coefficient(spec, diagnostics)
     return tuple(c * sigma_distance * coupling.lam for c in coef)
 

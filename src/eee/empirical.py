@@ -19,12 +19,13 @@ which is np.searchsorted(side="right") on the same doubles: the stream is unchan
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_analysis import ConsistentModel, place_factor, require_agent_cap, strategy_arrays
+from .chain_analysis import ConsistentModel, place_factor, require_agent_cap, require_bytes, strategy_arrays
 from .game_model import GameSpec, SpecError, require_valid
 
 RNG_ALGORITHM = (
@@ -118,8 +119,9 @@ def simulate(
     # next environment; the next state depends on the tail alone: nxt_rows[state, o % n_tail]
     tail_dims = (*(ag.n_signals for ag in spec.agents), *(ag.n_states for ag in spec.agents), spec.n_env)
     out_dims = (spec.n_joint_actions, *tail_dims)
-    n_tail, ndim = int(np.prod(tail_dims)), len(tail_dims)
+    n_tail, ndim = math.prod(tail_dims), len(tail_dims)
     n_out = spec.n_joint_actions * n_tail
+    require_bytes(8 * n_states * (n_out + n_tail), f"the simulator's outcome rows for {n_states} joint states")
 
     def next_row(psi: tuple[int, ...]) -> np.ndarray:
         """Next flat state per outcome tail: w' from the outcome, memory_rule_i[z_i, s_i]

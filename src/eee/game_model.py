@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterator
 
@@ -28,14 +29,8 @@ class ParseError(ValueError):
     """A game/strategy/model file is structurally malformed."""
 
 
-def _freeze(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
-def _freeze_int(a) -> np.ndarray:
-    arr = np.array(a, dtype=int)
+def _freeze(a, dtype=float) -> np.ndarray:
+    arr = np.array(a, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -67,7 +62,7 @@ class AgentSpec:
     def __post_init__(self):
         object.__setattr__(self, "signal_kernel", _freeze(self.signal_kernel))
         object.__setattr__(self, "local_kernels", _freeze(self.local_kernels))
-        object.__setattr__(self, "memory_rule", _freeze_int(self.memory_rule))
+        object.__setattr__(self, "memory_rule", _freeze(self.memory_rule, int))
         object.__setattr__(self, "reward", _freeze(self.reward))
         if self.uncoupled_local is not None:
             object.__setattr__(self, "uncoupled_local", _freeze(self.uncoupled_local))
@@ -115,7 +110,7 @@ class GameSpec:
 
     @property
     def n_joint_actions(self) -> int:
-        return int(np.prod(self.action_dims))
+        return math.prod(self.action_dims)
 
     def indexer(self) -> "JointIndexer":
         return JointIndexer(
@@ -149,6 +144,10 @@ class ConvexFamily:
             ag.uncoupled_local is None for ag in self.base.agents
         ):
             raise SpecError("convex family requires uncoupled reference kernels")
+        if self.base.uncoupled_env.shape != self.base.env_kernels.shape[1:] or any(
+            ag.uncoupled_local.shape != ag.local_kernels.shape[1:] for ag in self.base.agents
+        ):
+            raise SpecError("convex family requires reference kernels shaped like the coupled kernels")
 
     def at(self, alpha: float | None = None) -> GameSpec:
         return interpolate(self, self.alpha if alpha is None else alpha)
@@ -167,7 +166,7 @@ class JointIndexer:
 
     @property
     def n_states(self) -> int:
-        return int(np.prod(self.state_dims))
+        return math.prod(self.state_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -291,30 +290,11 @@ def interpolate(family: ConvexFamily, alpha: float) -> GameSpec:
     require_alpha(alpha)
     base = family.base
     env = alpha * base.env_kernels + (1.0 - alpha) * base.uncoupled_env[None, :, :]
-    agents = []
-    for ag in base.agents:
-        local = alpha * ag.local_kernels + (1.0 - alpha) * ag.uncoupled_local[None, :, :]
-        agents.append(
-            AgentSpec(
-                n_states=ag.n_states,
-                n_actions=ag.n_actions,
-                n_signals=ag.n_signals,
-                n_memory=ag.n_memory,
-                signal_kernel=ag.signal_kernel,
-                local_kernels=local,
-                memory_rule=ag.memory_rule,
-                reward=ag.reward,
-                discount=ag.discount,
-                temperature=ag.temperature,
-                uncoupled_local=ag.uncoupled_local,
-            )
-        )
-    return GameSpec(
-        n_env=base.n_env,
-        env_kernels=env,
-        agents=tuple(agents),
-        uncoupled_env=base.uncoupled_env,
+    agents = tuple(
+        replace(ag, local_kernels=alpha * ag.local_kernels + (1.0 - alpha) * ag.uncoupled_local[None, :, :])
+        for ag in base.agents
     )
+    return replace(base, env_kernels=env, agents=agents)
 
 
 def build_example1() -> ConvexFamily:
@@ -331,34 +311,40 @@ def build_example1() -> ConvexFamily:
 # serialization (JSON, 1-based external labels)
 
 
-def _renormalize(mat: np.ndarray) -> np.ndarray:
-    """Divide rows by their sums where the sum is within ROW_SUM_TOL of 1."""
-    mat = np.array(mat, dtype=float)
-    if mat.ndim == 1:
-        mat = mat[None, :]
-        squeeze = True
-    else:
-        squeeze = False
-    sums = mat.sum(axis=1)
-    near = np.abs(sums - 1.0) <= ROW_SUM_TOL
-    mat[near] = mat[near] / sums[near, None]
-    return mat[0] if squeeze else mat
-
-
 def _get(obj: dict, key: str, where: str):
     if key not in obj:
         raise ParseError(f"missing field '{key}' in {where}")
     return obj[key]
 
 
-def _matrix(obj, where: str, renorm=True) -> np.ndarray:
+def _number(obj: dict, key: str, where: str, kind=float, default=None):
+    """obj[key] converted by kind; a missing key takes default, or without one is a ParseError."""
+    value = _get(obj, key, where) if default is None else obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where}: '{key}' must be a number") from None
+
+
+def _matrix(obj, where: str) -> np.ndarray:
+    """obj as a float matrix; rows whose sums are within ROW_SUM_TOL of 1 are divided by them."""
     try:
         mat = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: not a numeric array ({exc})") from None
     if mat.ndim != 2:
         raise ParseError(f"{where}: expected a matrix (list of rows)")
-    return _renormalize(mat) if renorm else mat
+    sums = mat.sum(axis=1)
+    near = np.abs(sums - 1.0) <= ROW_SUM_TOL
+    mat[near] = mat[near] / sums[near, None]
+    return mat
+
+
+def _stack(mats: list[np.ndarray], where: str) -> np.ndarray:
+    """One array of equally shaped matrices; none gives an empty array for validate_spec to name."""
+    if len({m.shape for m in mats}) > 1:
+        raise ParseError(f"{where} differ in shape: {', '.join(str(m.shape) for m in mats)}")
+    return np.array(mats)
 
 
 def game_from_jsonable(doc: dict) -> GameSpec:
@@ -370,7 +356,7 @@ def game_from_jsonable(doc: dict) -> GameSpec:
     """
     if not isinstance(doc, dict):
         raise ParseError("top level of a game file must be an object")
-    n_env = _get(doc, "n_env", "game")
+    n_env = _number(doc, "n_env", "game", int)
     agents_doc = _get(doc, "agents", "game")
     if not isinstance(agents_doc, list) or not agents_doc:
         raise ParseError("'agents' must be a non-empty array")
@@ -380,7 +366,7 @@ def game_from_jsonable(doc: dict) -> GameSpec:
         where = f"agent {i + 1}"
         if not isinstance(ad, dict):
             raise ParseError(f"{where}: expected an object")
-        n_actions = int(_get(ad, "n_actions", where))
+        n_actions = _number(ad, "n_actions", where, int)
         locals_doc = _get(ad, "local_kernels", where)
         if not isinstance(locals_doc, dict):
             raise ParseError(f"{where}: 'local_kernels' must be an object keyed by action")
@@ -391,25 +377,25 @@ def game_from_jsonable(doc: dict) -> GameSpec:
             local.append(_matrix(locals_doc[str(a)], f"{where} local kernel a={a}"))
         try:
             memory = np.array(_get(ad, "memory_rule", where), dtype=int) - 1
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{where}: memory_rule must be an integer table") from None
         try:
             reward = np.array(_get(ad, "reward", where), dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{where}: reward must be a numeric x/a/s array") from None
         uncoupled = ad.get("uncoupled_local")
         agents.append(
             AgentSpec(
-                n_states=int(_get(ad, "n_states", where)),
+                n_states=_number(ad, "n_states", where, int),
                 n_actions=n_actions,
-                n_signals=int(_get(ad, "n_signals", where)),
-                n_memory=int(_get(ad, "n_memory", where)),
+                n_signals=_number(ad, "n_signals", where, int),
+                n_memory=_number(ad, "n_memory", where, int),
                 signal_kernel=_matrix(_get(ad, "signal_kernel", where), f"{where} signal kernel"),
-                local_kernels=np.stack(local),
+                local_kernels=_stack(local, f"{where} local kernels"),
                 memory_rule=memory,
                 reward=reward,
-                discount=float(_get(ad, "discount", where)),
-                temperature=float(ad.get("temperature", 1.0)),
+                discount=_number(ad, "discount", where),
+                temperature=_number(ad, "temperature", where, default=1.0),
                 uncoupled_local=None
                 if uncoupled is None
                 else _matrix(uncoupled, f"{where} uncoupled local kernel"),
@@ -419,22 +405,20 @@ def game_from_jsonable(doc: dict) -> GameSpec:
     env_doc = _get(doc, "env_kernels", "game")
     if not isinstance(env_doc, dict):
         raise ParseError("'env_kernels' must be an object keyed by joint action")
-    action_dims = tuple(ag.n_actions for ag in agents)
+    keys = [",".join(str(ai + 1) for ai in a) for a in itertools.product(*(range(ag.n_actions) for ag in agents))]
     kernels = []
-    for a in itertools.product(*(range(n) for n in action_dims)):
-        key = ",".join(str(ai + 1) for ai in a)
+    for key in keys:
         if key not in env_doc:
             raise ParseError(f"env kernel for joint action ({key}) missing")
         kernels.append(_matrix(env_doc[key], f"env kernel a=({key})"))
-    extra = set(env_doc) - {",".join(str(ai + 1) for ai in a)
-                            for a in itertools.product(*(range(n) for n in action_dims))}
+    extra = set(env_doc) - set(keys)
     if extra:
         raise ParseError(f"env_kernels has unknown joint action keys: {sorted(extra)}")
 
     unc = doc.get("uncoupled_env")
     return GameSpec(
-        n_env=int(n_env),
-        env_kernels=np.stack(kernels),
+        n_env=n_env,
+        env_kernels=_stack(kernels, "env kernels"),
         agents=tuple(agents),
         uncoupled_env=None if unc is None else _matrix(unc, "uncoupled env kernel"),
     )

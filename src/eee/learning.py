@@ -20,6 +20,7 @@ from .chain_analysis import (
     ConsistentModel,
     VanishingMassError,
     consistent_model,
+    profile_arrays,
     strategy_arrays,
 )
 from .game_model import GameSpec, SpecError, require_valid
@@ -67,19 +68,25 @@ class PolicyRule:
         if self.kind not in ("greedy", "softmax"):
             raise SpecError(f"policy rule must be 'greedy' or 'softmax', got {self.kind!r}")
         if self.tau is not None:
-            taus = (self.tau,) if np.isscalar(self.tau) else tuple(self.tau)
-            object.__setattr__(self, "tau", tuple(float(t) for t in taus))
-            if any(t <= 0 for t in self.tau):
-                raise SpecError("softmax temperatures must be positive")
+            object.__setattr__(self, "tau", _temperatures(self.tau))
 
     def resolve_tau(self, spec: GameSpec) -> tuple[float, ...]:
-        if self.tau is not None:
-            if len(self.tau) == 1 and spec.n_agents > 1:
-                return self.tau * spec.n_agents
-            if len(self.tau) != spec.n_agents:
-                raise SpecError(f"expected {spec.n_agents} temperatures, got {len(self.tau)}")
-            return self.tau
-        return tuple(ag.temperature for ag in spec.agents)
+        if self.tau is None:
+            return tuple(ag.temperature for ag in spec.agents)
+        return _temperatures(self.tau, spec.n_agents)
+
+
+def _temperatures(tau, n_agents: int | None = None) -> tuple[float, ...]:
+    """tau, one value or a sequence, as a tuple of positive floats; given
+    n_agents, one per agent, a single value standing for every agent."""
+    taus = tuple(float(t) for t in np.atleast_1d(tau))
+    if any(t <= 0 for t in taus):
+        raise SpecError("softmax temperatures must be positive")
+    if n_agents is None or len(taus) == n_agents:
+        return taus
+    if len(taus) == 1:
+        return taus * n_agents
+    raise SpecError(f"expected {n_agents} temperatures, got {len(taus)}")
 
 
 @dataclass
@@ -97,7 +104,6 @@ class IterationTrace:
     rule: PolicyRule
     steps: list[TraceStep] = field(default_factory=list)
     dq_history: list[float] = field(default_factory=list)
-    dsigma_history: list[float] = field(default_factory=list)
     final_q: QTable | None = None
     final_sigma: Strategy | None = None
 
@@ -106,7 +112,6 @@ class IterationTrace:
         if always or step.t <= RETAIN_FULL or step.t % 10 == 0:
             self.steps.append(step)
         self.dq_history.append(step.dq)
-        self.dsigma_history.append(step.dsigma)
 
     @property
     def final_mu(self) -> ConsistentModel | None:
@@ -150,15 +155,11 @@ def greedy_policy(q) -> Strategy:
 
 
 def softmax_policy(q, tau) -> Strategy:
-    """Boltzmann policy at per-agent temperatures, max-subtracted for safety."""
+    """Boltzmann policy at per-agent temperatures, max-subtracted for safety;
+    one temperature stands for every agent."""
     tables = q_arrays(q)
-    taus = [float(t) for t in (tau if isinstance(tau, (list, tuple, np.ndarray)) else [tau] * len(tables))]
-    if len(taus) != len(tables):
-        raise SpecError(f"expected {len(tables)} temperatures, got {len(taus)}")
     probs = []
-    for t, ti in zip(tables, taus):
-        if ti <= 0:
-            raise SpecError(f"softmax temperature must be positive, got {ti}")
+    for t, ti in zip(tables, _temperatures(tau, len(tables))):
         shifted = (t - t.max(axis=-1, keepdims=True)) / ti
         e = np.exp(shifted)
         probs.append(e / e.sum(axis=-1, keepdims=True))
@@ -311,10 +312,8 @@ def _softmax_cycle_scan(q_flat, history, dq_history, tol) -> int | None:
     t = len(history)
     if t < 4 or not (dq_history and dq_history[-1] >= tol):
         return None
-    lo = t - t // 2  # candidate indices j = t - p with 2 <= p <= t // 2
+    lo = t - t // 2  # candidate indices j = t - p with 2 <= p <= t // 2; t >= 4 gives hi >= lo
     hi = t - 2
-    if hi < lo:
-        return None
     diffs = np.max(np.abs(history[lo : hi + 1] - q_flat), axis=1)
     for k in range(diffs.size - 1, -1, -1):  # largest j first, smallest period
         if diffs[k] >= tol:
@@ -481,7 +480,7 @@ def verify_approx_eee(
 ) -> VerificationReport:
     """Like verify_eee but optimality compares the strategy to the softmax policy."""
     strat = Strategy(probs=strategy_arrays(sigma, spec))
-    taus = PolicyRule("softmax", tau=None if tau is None else tuple(np.atleast_1d(tau))).resolve_tau(spec)
+    taus = PolicyRule("softmax", tau=tau).resolve_tau(spec)
     return _verification_report(
         spec, strat, mu, tol,
         lambda q_fixed: max_metric_strategy(strat, softmax_policy(q_fixed, taus)),
@@ -491,8 +490,9 @@ def verify_approx_eee(
 
 def _verification_report(spec, strat, mu, tol, optimality, margin_policy) -> VerificationReport:
     """Both residuals and the margins; optimality and margin_policy map the Q
-    fixed point of mu to the optimality residual and the margins' strategy."""
-    models = model_arrays(mu)
+    fixed point of mu to the optimality residual and the margins' strategy.
+    mu is checked like a strategy, before any fixed point is iterated."""
+    models = profile_arrays(model_arrays(mu), spec, "model")
     q_fixed = solve_q_fixed_point(spec, models)
     opt_resid = optimality(q_fixed)
     exact = consistent_model(spec, strat)

@@ -2,14 +2,17 @@
 
 import dataclasses
 import itertools
+import re
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from eee import chain_analysis
 from eee.chain_analysis import (
     MAX_AGENTS,
+    SOLVER_TOL,
     StationaryError,
     VanishingMassError,
     build_joint_transition,
@@ -176,9 +179,16 @@ def test_transition_rows_sum_to_one(ex1_spec):
 
 
 def test_strategy_shape_mismatch_raises(ex1_spec):
-    bad = [np.ones((2, 2, 2)) / 2, np.ones((3, 2, 2)) / 2]
-    with pytest.raises(SpecError):
-        build_joint_transition(ex1_spec, bad)
+    half = np.full((2, 2, 2), 0.5)
+    for bad, message in [
+        ([half, np.ones((3, 2, 2)) / 2], "agent 2 strategy shape (3, 2, 2), expected (2, 2, 2)"),
+        ([half], "strategy has 1 agents, spec has 2"),
+        ([half, np.where(half, [-0.5, 1.5], 0.0)], "agent 2 strategy has a negative or non-finite entry"),
+        ([np.where(half, [np.nan, 0.5], 0.0), half], "agent 1 strategy has a negative or non-finite entry"),
+        ([half, half * 0.8], "agent 2 strategy rows do not sum to 1"),
+    ]:
+        with pytest.raises(SpecError, match=re.escape(message)):
+            build_joint_transition(ex1_spec, bad)
 
 
 def test_dense_size_guard():
@@ -197,6 +207,16 @@ def test_dense_size_guard():
     )
     with pytest.raises(SpecError, match="dense limit"):
         build_joint_transition(spec, uniform_strategy(spec))
+
+
+def test_power_fallback_short_of_tol_raises_a_named_error(monkeypatch):
+    # two closed classes, so the direct solve fails; from the uniform start the
+    # transient middle state loses half its mass per step, short of tol in 3 steps
+    monkeypatch.setattr(chain_analysis, "POWER_ITER_CAP", 3)
+    T = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(StationaryError, match="stationary solve failed") as info:
+        stationary_distribution(T)
+    assert info.value.residual > SOLVER_TOL
 
 
 def test_stationary_symmetric_two_state():

@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from eee import chain_analysis, learning
-from eee.cli import _load_spec, main
-from eee.game_model import build_example1, example1_path, save_game
+from eee.cli import _atomic_write, _load_spec, _sanitize, main
+from eee.game_model import AgentSpec, GameSpec, build_example1, example1_path, game_to_jsonable, save_game
 
 from conftest import sigma_star, signal_only_game
 
@@ -122,6 +123,18 @@ def test_run_without_out_records_the_default_directory(tmp_path, monkeypatch, ca
     assert summary["config"]["output_dir"] == str(out.relative_to(tmp_path))
 
 
+def test_run_takes_one_temperature_per_agent(tmp_path):
+    out = tmp_path / "t"
+    assert main(["run", SPEC, "--alpha", "0.9", "--policy", "softmax", "--tau", "1.0", "0.5",
+                 "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["tau"] == [1.0, 0.5]
+    trace, report = learning.q_value_iteration(_load_spec(SPEC, 0.9), learning.PolicyRule("softmax", tau=(1.0, 0.5)))
+    assert summary["outcome"] == report.outcome == "cycle"
+    assert summary["at_iter"] == report.at_iter
+    assert summary["sigma"] == [p.tolist() for p in trace.final_sigma.probs]
+
+
 def test_run_rejects_bad_controls(tmp_path, capsys):
     assert main(["run", SPEC, "--tol", "-1", "--out", str(tmp_path / "x")]) == 1
     assert main(["run", SPEC, "--alpha", "1.5", "--out", str(tmp_path / "y")]) == 1
@@ -142,6 +155,16 @@ def test_sweep_orders_rows_by_alpha(tmp_path, capsys):
     assert lams[0] == 0.0 and lams[0] < lams[1] < lams[2]
     assert all(float(r["rho"]) > 0 for r in rows)
     assert all(r["error"] == "" for r in rows)
+
+
+def test_sweep_records_an_error_row_and_goes_on(tmp_path):
+    out = tmp_path / "sw"
+    assert main(["sweep", SPEC, "--alphas", "1.5", "0.0", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        ok, bad = csv.DictReader(fh)
+    assert ok["outcome"] == "converged" and ok["error"] == ""
+    assert bad == {"alpha": "1.5", "outcome": "", "steps": "", "final_q_norm": "", "lambda": "", "rho": "",
+                   "error": "alpha must lie in [0, 1], got 1.5"}
 
 
 def test_verify_accepts_the_rounded_profile(tmp_path, capsys):
@@ -178,11 +201,43 @@ def test_verify_strict_tolerance_flags_the_rounding(tmp_path, capsys):
 
 def test_verify_rejects_malformed_profiles(tmp_path, capsys):
     bad = tmp_path / "sigma.json"
-    bad.write_text("[1, 2, 3]")
     mu = write_json(tmp_path / "mu.json", MU_ROUNDED)
-    code = main(["verify", SPEC, "--alpha", "0.9", "--sigma", str(bad), "--mu", mu])
-    assert code == 2
-    assert "expected an object" in capsys.readouterr().err
+    for text, message in [
+        ("[1, 2, 3]", "expected an object with a 'sigma' field"),
+        ("{not json", "invalid JSON"),
+        ('{"sigma": []}', "'sigma' must be a non-empty array of per-agent tables"),
+        ('{"sigma": [[["x"]]]}', "agent 1 table is not numeric"),
+    ]:
+        bad.write_text(text)
+        code = main(["verify", SPEC, "--alpha", "0.9", "--sigma", str(bad), "--mu", mu])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"mu": [[0.5, 0.5], [0.5, 0.5]]}, "agent 1 model shape (2,), expected (2, 2, 2)"),
+    ({"mu": [[[[-3.0, 4.0], *MU_ROUNDED["mu"][0][0][1:]], MU_ROUNDED["mu"][0][1]], MU_ROUNDED["mu"][1]]},
+     "agent 1 model has a negative or non-finite entry"),
+], ids=["one-row-per-agent", "negative-row"])
+def test_verify_rejects_a_malformed_model_at_once(tmp_path, capsys, model, message):
+    sigma = write_json(tmp_path / "sigma.json", SIGMA_STAR)
+    mu = write_json(tmp_path / "mu.json", model)
+    start = time.perf_counter()
+    code = main(["verify", SPEC, "--alpha", "0.9", "--sigma", sigma, "--mu", mu])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_approx_accepts_the_softmax_run(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["run", SPEC, "--alpha", "0.9", "--policy", "softmax", "--tau", "1.0", "--out", str(out)]) == 0
+    code = main(["verify", SPEC, "--alpha", "0.9", "--sigma", str(out / "sigma.json"),
+                 "--mu", str(out / "mu.json"), "--approx", "--tau", "1.0", "--tol", "1e-6"])
+    assert code == 0
+    assert "approximate equilibrium verified at tol=1e-06" in capsys.readouterr().out
 
 
 def test_bounds_certifies_the_uncoupled_game(tmp_path, capsys):
@@ -235,6 +290,19 @@ def test_bounds_with_a_fixed_strategy_builds_each_chain_once(tmp_path, monkeypat
     mu = chain_analysis.consistent_model(spec, star)
     xi = learning.margin(learning.solve_q_fixed_point(spec, mu), star)
     assert doc["inputs"]["xi"] == list(xi)
+
+
+def test_bounds_with_a_mixed_sigma_leaves_the_margin_condition_open(tmp_path):
+    spec = _load_spec(SPEC, 0.9)
+    uniform = chain_analysis.uniform_strategy(spec)
+    sigma = write_json(tmp_path / "sigma.json", {"sigma": [p.tolist() for p in uniform]})
+    out = tmp_path / "b"
+    assert main(["bounds", SPEC, "--alpha", "0.9", "--sigma", sigma, "--out", str(out)]) == 0
+    doc = json.loads((out / "bounds.json").read_text())
+    assert doc["sigma_source"] == "supplied"
+    assert doc["margin_condition_holds"] is None
+    assert doc["inputs"]["xi"] is None
+    assert doc["diagnostics"]["minimal_mass"] == list(chain_analysis.chain_diagnostics(spec, uniform).minimal_mass)
 
 
 def test_bounds_needs_references_unless_told_otherwise(tmp_path, capsys):
@@ -369,6 +437,48 @@ def test_run_with_too_many_agents_exits_1_without_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "limit of 15" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def big_chain_game(tmp_path_factory):
+    """One agent with 700 memory and 700 local states: 490,000 joint states,
+    whose dense path needs terabytes, in a 3 MB file."""
+    ag = AgentSpec(
+        n_states=700, n_actions=1, n_signals=1, n_memory=700,
+        signal_kernel=np.ones((1, 1)),
+        local_kernels=np.eye(700)[None],
+        memory_rule=np.arange(700)[:, None],
+        reward=np.zeros((700, 1, 1)),
+        discount=0.5,
+    )
+    path = tmp_path_factory.mktemp("big") / "game.json"
+    path.write_text(json.dumps(game_to_jsonable(GameSpec(n_env=1, env_kernels=np.ones((1, 1, 1)), agents=(ag,)))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["run"], ["bounds", "--allow-fallback"]], ids=["run", "bounds"])
+def test_a_chain_past_the_byte_budget_fails_before_any_output(tmp_path, capsys, big_chain_game, argv):
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = main([argv[0], big_chain_game, *argv[1:], "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: the 490000 joint states of the dense chain need {8 * 4 * 490_000**2} bytes" in err
+    assert "above the dense limit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_atomic_write_leaves_no_temporary_file_when_writing_fails(tmp_path):
+    with pytest.raises(TypeError):
+        _atomic_write(tmp_path / "x.json", None)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sanitize_spells_out_infinities_for_strict_json():
+    doc = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": (True, None)}
+    assert _sanitize(doc) == {"a": ["inf", "-inf", None, 1.5], "b": [True, None]}
 
 
 def test_module_entry_point_runs(tmp_path):

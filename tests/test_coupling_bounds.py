@@ -138,6 +138,12 @@ def test_q_stability_rejects_bad_eps(ex1_spec):
         q_stability_bound(ex1_spec, (0.01, 0.01, 0.01))
 
 
+def test_perturbation_coefficient_needs_positive_mass(ex1_spec, ex1_diag):
+    starved = dataclasses.replace(ex1_diag, minimal_mass=(ex1_diag.minimal_mass[0], 0.0))
+    with pytest.raises(SpecError, match="agent 2 minimal stationary mass is not positive"):
+        model_perturbation_bound(ex1_spec, starved, 1.0)
+
+
 def test_model_bound_vanishes_without_coupling(ex1_family):
     spec = ex1_family.at(0.0)
     diag = chain_diagnostics(spec, uniform_strategy(spec))

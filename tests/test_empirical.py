@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eee import empirical
-from eee.chain_analysis import consistent_model, strategy_arrays
+from eee.chain_analysis import build_joint_transition, consistent_model, strategy_arrays, uniform_strategy
 from eee.empirical import (
     Trajectory,
     compare_models,
@@ -16,7 +16,7 @@ from eee.empirical import (
 )
 from eee.game_model import AgentSpec, GameSpec, SpecError, build_example1
 
-from conftest import random_game, random_strategy, sigma_star, signal_only_game
+from conftest import random_game, random_strategy, shaped_game, sigma_star, signal_only_game
 
 NO_STEPS = np.empty(0, dtype=np.int64)
 
@@ -142,6 +142,25 @@ def test_factored_rows_match_the_einsum_oracle():
             row = empirical._outcome_row(spec, probs, np.unravel_index(psi, state_dims))
             assert row.shape == table[psi].shape
             assert np.max(np.abs(row - table[psi])) <= 1e-15
+
+
+def test_outcome_rows_summed_by_next_state_equal_the_kernel_rows():
+    # the simulator's outcome rows and the exact path's dense kernel are two
+    # representations of one chain: each outcome leads to one next state
+    for spec, sigma in oracle_cases():
+        probs = strategy_arrays(sigma, spec)
+        matrix = build_joint_transition(spec, sigma).matrix
+        n, state_dims = spec.n_agents, spec.indexer().state_dims
+        out_dims = (*spec.action_dims, *(ag.n_signals for ag in spec.agents),
+                    *(ag.n_states for ag in spec.agents), spec.n_env)
+        outcome = np.unravel_index(np.arange(np.prod(out_dims)), out_dims)
+        signals, x_next, w_next = outcome[n : 2 * n], outcome[2 * n : 3 * n], outcome[3 * n]
+        for psi in range(matrix.shape[0]):
+            state = np.unravel_index(psi, state_dims)
+            z_next = [ag.memory_rule[state[1 + i], signals[i]] for i, ag in enumerate(spec.agents)]
+            nxt = np.ravel_multi_index((w_next, *z_next, *x_next), state_dims)
+            row = np.bincount(nxt, weights=empirical._outcome_row(spec, probs, state), minlength=matrix.shape[0])
+            assert np.max(np.abs(row - matrix[psi])) <= 1e-15
 
 
 def test_records_match_the_oracle_sampler():
@@ -310,6 +329,18 @@ def test_too_many_agents_are_rejected_before_sampling(n_agents):
     start = time.perf_counter()
     with pytest.raises(SpecError, match="limit of 15"):
         simulate(spec, sigma, horizon=10**5, seed=0, burn_in=0)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("shapes, n_states", [
+    ([(10, 10, 1, 10)] * 3, 10**6),  # times 10^6 outcomes: terabytes of rows, from small kernels
+    ([(16, 16, 1, 1)] * 15, 16**30),  # a count that int64 arithmetic wraps to 0
+], ids=["3-agents", "15-agents"])
+def test_outcome_rows_past_the_byte_budget_raise_at_once(shapes, n_states):
+    spec = shaped_game(0, n_env=1, shapes=shapes)
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match=rf"outcome rows for {n_states} joint states need \d+ bytes, above the dense limit"):
+        simulate(spec, uniform_strategy(spec), horizon=10, seed=0, burn_in=0)
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,17 +1,26 @@
 """Game construction, validation, interpolation, serialization."""
 
+import contextlib
+import copy
+import io
 import json
+import logging
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eee.cli import main
 from eee.game_model import (
     ConvexFamily,
+    GameSpec,
     ParseError,
     SpecError,
     build_example1,
+    example1_path,
     game_from_jsonable,
     game_to_jsonable,
     interpolate,
@@ -168,6 +177,98 @@ def test_memory_rule_is_one_based_in_files(tmp_path, ex1_family):
 def test_spec_arrays_are_read_only(ex1_spec):
     with pytest.raises(ValueError):
         ex1_spec.env_kernels[0, 0, 0] = 0.5
+
+
+def test_convex_family_needs_references_shaped_like_the_kernels(ex1_family):
+    base = ex1_family.base
+    with pytest.raises(SpecError, match="requires uncoupled reference kernels"):
+        ConvexFamily(base=GameSpec(n_env=base.n_env, env_kernels=base.env_kernels, agents=base.agents))
+    with pytest.raises(SpecError, match="shaped like the coupled kernels"):
+        ConvexFamily(base=GameSpec(n_env=base.n_env, env_kernels=base.env_kernels, agents=base.agents,
+                                   uncoupled_env=base.uncoupled_env[:3, :3]))
+
+
+def test_a_game_without_agents_is_reported():
+    report = validate_spec(GameSpec(n_env=0, env_kernels=np.zeros((1, 0, 0)), agents=()))
+    assert report.violations == ["n_env must be >= 1, got 0", "agent list is empty"]
+
+
+# Mutations of the bundled game file that no valid game survives under --alpha,
+# which needs the uncoupled references: a dropped key (any but the optional
+# temperature), a list one entry short or long, a node of the wrong type, a
+# non-numeric or NaN entry, and numbers out of range for their field.
+EX1_DOC = json.loads(Path(example1_path()).read_text())
+KERNELS = ("env_kernels", "uncoupled_env", "signal_kernel", "local_kernels", "uncoupled_local")
+COUNTS = ("n_env", "n_states", "n_actions", "n_signals", "n_memory")
+
+
+def _out_of_range(path, value):
+    field = path[2] if path[0] == "agents" else path[0]
+    if field in KERNELS:
+        return [-0.5, 1.5, 2**64]
+    if field in COUNTS:
+        return [0, -1, value + 1, 2**64]
+    if field == "memory_rule":  # 1-based
+        return [0, -1, EX1_DOC["agents"][path[1]]["n_memory"] + 1, 2**64]
+    return {"discount": [0.0, 1.0, -0.5], "temperature": [0.0, -1.0], "reward": []}[field]
+
+
+def _mutations(node, path=()):
+    """(operation, path, value) for node and everything inside it."""
+    if isinstance(node, dict):
+        out = [("drop", path + (k,), None) for k in node if k != "temperature"]
+        items = node.items()
+    elif isinstance(node, list):
+        out = [("shrink", path, None), ("grow", path, None)]
+        items = enumerate(node)
+    else:
+        return [("set", path, v) for v in ("x", None, [], {}, math.nan, *_out_of_range(path, node))]
+    out += [("set", path, v) for v in ("x", None, 5, [], {})]
+    return out + [m for k, v in items for m in _mutations(v, path + (k,))]
+
+
+def _by_depth(mutations):
+    """Mutations grouped by path length, so the few near the root are drawn as often as the many leaves."""
+    depths = sorted({len(path) for _, path, _ in mutations})
+    return [[m for m in mutations if len(m[1]) == d] for d in depths]
+
+
+def _mutate(doc, operation, path, value):
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]]
+    if operation == "drop":
+        del parent[path[-1]]
+    elif operation == "shrink":
+        node.pop()
+    elif operation == "grow":
+        node.append(copy.deepcopy(node[-1]))
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutation=st.sampled_from(_by_depth(_mutations(EX1_DOC))).flatmap(st.sampled_from))
+@example(mutation=("set", ("agents", 0, "local_kernels"), []))  # the one parser branch 300 draws miss
+def test_a_broken_game_file_exits_1_or_2_without_a_traceback(tmp_path_factory, mutation):
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(json.dumps(_mutate(EX1_DOC, *mutation)))
+    out = path.parent / "mutant-out"
+    err = io.StringIO()
+    handlers = logging.getLogger("eee").handlers[:]
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--alpha", "0.9", "--out", str(out)])
+    finally:
+        logging.getLogger("eee").handlers[:] = handlers
+    assert code in (1, 2)
+    assert err.getvalue().startswith("error: ")
+    assert not out.exists()
 
 
 def test_random_games_validate():

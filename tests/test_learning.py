@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eee import learning
-from eee.chain_analysis import ConsistentModel, consistent_model
+from eee.chain_analysis import ConsistentModel, VanishingMassError, consistent_model
 from eee.game_model import AgentSpec, GameSpec, SpecError
 from eee.learning import (
     IterationTrace,
@@ -196,6 +196,21 @@ def test_iteration_rejects_oversized_q0(ex1_spec):
         q_value_iteration(ex1_spec, PolicyRule("greedy"), q0=big)
 
 
+def test_vanishing_mass_names_the_iteration():
+    # memory state 1 is reached from nowhere, so it has no stationary mass
+    spec = random_game(0, n_agents=1)
+    ag = dataclasses.replace(spec.agents[0], memory_rule=np.zeros_like(spec.agents[0].memory_rule))
+    spec = dataclasses.replace(spec, agents=(ag,))
+    with pytest.raises(VanishingMassError, match=r"^iteration 0: agent 1 state \(z=2, x=1\) has vanishing"):
+        q_value_iteration(spec, PolicyRule("greedy"))
+
+
+def test_fixed_point_iteration_names_its_cap(ex1_spec):
+    mu = consistent_model(ex1_spec, sigma_star(ex1_spec))
+    with pytest.raises(SpecError, match="did not reach tol 1e-12 within 5 steps"):
+        solve_q_fixed_point(ex1_spec, mu, cap=5)
+
+
 def test_iteration_rejects_bad_controls(ex1_spec):
     with pytest.raises(SpecError):
         q_value_iteration(ex1_spec, PolicyRule("greedy"), tol=0.0)
@@ -332,6 +347,8 @@ def test_max_metric_basics():
     assert max_metric_strategy(a, b) == 1.0
     with pytest.raises(SpecError):
         max_metric_strategy(a, a[:1])
+    with pytest.raises(SpecError, match="Q tables have mismatched dimensions"):
+        max_metric_q(a, a[::-1])
 
 
 def test_verify_accepts_known_equilibrium_profile(ex1_spec):
