@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import logging
@@ -19,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -36,19 +34,6 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_CYCLE = 3
 EXIT_MAX_ITER = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The arguments of `eee run`, as recorded in summary.json."""
-
-    spec_path: str
-    alpha: float | None
-    policy: str
-    tau: tuple[float, ...] | None
-    tol: float
-    max_iter: int
-    output_dir: str
 
 
 def _configure_logging():
@@ -85,7 +70,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=1, allow_nan=False) + "\n"
+    return json.dumps(_sanitize(obj), indent=1, allow_nan=False) + "\n"
 
 
 def _load_spec(path: str, alpha: float | None) -> GameSpec:
@@ -97,11 +82,7 @@ def _load_spec(path: str, alpha: float | None) -> GameSpec:
 
 
 def _load_profile(path: str, key: str) -> list[np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    doc = game_model.read_json(path)
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"{path}: expected an object with a '{key}' field")
     arrays = doc[key]
@@ -114,14 +95,6 @@ def _load_profile(path: str, key: str) -> list[np.ndarray]:
         except (TypeError, ValueError):
             raise ParseError(f"{path}: agent {i + 1} table is not numeric") from None
     return out
-
-
-def _sigma_jsonable(sigma: learning.Strategy) -> list:
-    return [p.tolist() for p in sigma.probs]
-
-
-def _mu_jsonable(mu) -> list:
-    return [m.tolist() for m in learning.model_arrays(mu)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,45 +153,40 @@ def cmd_run(args) -> int:
         rule.resolve_tau(spec)
     chain_analysis.require_dense_chain(spec)
     out = _output_dir(args.out, "run")
-    config = RunConfig(
-        spec_path=args.spec,
-        alpha=args.alpha,
-        policy=args.policy,
-        tau=rule.tau,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        output_dir=str(out),
-    )
-    log.info("running %s policy on %s (alpha=%s)", config.policy, config.spec_path, config.alpha)
+    log.info("running %s policy on %s (alpha=%s)", args.policy, args.spec, args.alpha)
     trace, report = learning.q_value_iteration(spec, rule, tol=args.tol, max_iter=args.max_iter)
     log.info("outcome %s at iteration %d (residual %.3e)", report.outcome, report.at_iter, report.residual)
     for step in trace.steps[:3] + trace.steps[-3:]:
         log.debug("iter %d: dq=%.3e dsigma=%s", step.t, step.dq, step.dsigma)
 
-    final_mu = trace.final_mu
-    xi = None
-    if trace.final_q is not None and trace.final_sigma is not None and trace.final_sigma.is_deterministic():
-        xi = list(learning.margin(trace.final_q, trace.final_sigma))
+    sigma, mu = trace.final_sigma.probs, trace.final_mu.mu
+    xi = learning.margin(trace.final_q, trace.final_sigma) if trace.final_sigma.is_deterministic() else None
     summary = {
         "outcome": report.outcome,
         "at_iter": report.at_iter,
         "period": report.period,
         "first_seen": report.first_seen,
-        "cycling_agents": list(report.cycling_agents),
+        "cycling_agents": report.cycling_agents,
         "residual": report.residual,
         "iterations": len(trace.dq_history),
-        "final_q_norm": None if trace.final_q is None else trace.final_q.max_norm(),
-        "sigma": None if trace.final_sigma is None else _sigma_jsonable(trace.final_sigma),
-        "mu": None if final_mu is None else _mu_jsonable(final_mu),
+        "final_q_norm": trace.final_q.max_norm(),
+        "sigma": sigma,
+        "mu": mu,
         "xi": xi,
-        "config": dataclasses.asdict(config),
+        "config": {
+            "spec_path": args.spec,
+            "alpha": args.alpha,
+            "policy": args.policy,
+            "tau": rule.tau,
+            "tol": args.tol,
+            "max_iter": args.max_iter,
+            "output_dir": str(out),
+        },
     }
     _atomic_write(out / "trace.csv", _trace_csv(trace, spec))
     _atomic_write(out / "summary.json", _json_text(summary))
-    if trace.final_sigma is not None:
-        _atomic_write(out / "sigma.json", _json_text({"sigma": _sigma_jsonable(trace.final_sigma)}))
-    if final_mu is not None:
-        _atomic_write(out / "mu.json", _json_text({"mu": _mu_jsonable(final_mu)}))
+    _atomic_write(out / "sigma.json", _json_text({"sigma": sigma}))
+    _atomic_write(out / "mu.json", _json_text({"mu": mu}))
     print(f"{report.outcome} at_iter={report.at_iter} residual={report.residual:.3e} out={out}")
     if report.outcome == "cycle":
         print(f"cycle period={report.period} first_seen={report.first_seen} "
@@ -324,36 +292,27 @@ def cmd_bounds(args) -> int:
     diagnostics = chain_analysis.chain_diagnostics(diag_spec, sigma, pi=pi)
     bounds = coupling_bounds.compute_bounds(spec, diagnostics, coupling, xi=xi)
     doc = {
-        "coupling": {
-            "eps_phi": coupling.eps_phi,
-            "eps_varphi": list(coupling.eps_varphi),
-            "lambda": coupling.lam,
-            "reference_source": coupling.reference_source,
-        },
-        "diagnostics": {
-            "kappa": diagnostics.kappa,
-            "minimal_mass": list(diagnostics.minimal_mass),
-            "signal_ceiling": list(diagnostics.signal_ceiling),
-        },
+        "coupling": {k: bounds.inputs[k] for k in ("eps_phi", "eps_varphi", "lambda", "reference_source")},
+        "diagnostics": {k: bounds.inputs[k] for k in ("kappa", "minimal_mass", "signal_ceiling")},
         "sigma_source": sigma_source,
-        "model_gap_bound": list(bounds.model_gap_bound),
-        "value_stability_bound": list(bounds.value_stability_bound),
+        "model_gap_bound": bounds.model_gap_bound,
+        "value_stability_bound": bounds.value_stability_bound,
         "rho": bounds.rho,
         "rho_certified": bounds.rho_certified,
-        "margin_lhs": list(bounds.margin_lhs),
-        "margin_condition_holds": None
-        if bounds.margin_condition_holds is None
-        else list(bounds.margin_condition_holds),
+        "margin_lhs": bounds.margin_lhs,
+        "margin_condition_holds": bounds.margin_condition_holds,
         "inputs": bounds.inputs,
     }
-    _atomic_write(out / "bounds.json", _json_text(_sanitize(doc)))
+    _atomic_write(out / "bounds.json", _json_text(doc))
     print(f"lambda={coupling.lam} rho={bounds.rho} certified={bounds.rho_certified}")
     print(f"wrote {out / 'bounds.json'}")
     return EXIT_OK
 
 
 def _sanitize(obj):
-    """Replace infinities for strict JSON output."""
+    """obj with arrays as lists, infinities spelled out and NaN as null, for strict JSON."""
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -400,13 +359,13 @@ def cmd_simulate(args) -> int:
         "max_abs_gap": comparison.max_abs_gap,
         "max_abs_z": comparison.max_abs_z,
         "n_defined_cells": comparison.n_defined,
-        "z_scores": [np.where(np.isnan(z), None, z).tolist() for z in comparison.z_scores],
+        "z_scores": comparison.z_scores,
         "seed": traj.seed,
         "horizon": traj.horizon,
         "burn_in": traj.burn_in,
         "rng": traj.rng_algorithm,
     }
-    _atomic_write(out / "comparison.json", _json_text(_sanitize(doc)))
+    _atomic_write(out / "comparison.json", _json_text(doc))
     print(f"max_abs_gap={comparison.max_abs_gap:.6e} max_abs_z={comparison.max_abs_z:.3f} out={out}")
     return EXIT_OK
 

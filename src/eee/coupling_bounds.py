@@ -111,7 +111,7 @@ def q_stability_bound(spec: GameSpec, eps_mu) -> tuple[float, ...]:
 
 
 def _others_product(spec: GameSpec, i: int, attr: str) -> int:
-    return int(np.prod([getattr(ag, attr) for j, ag in enumerate(spec.agents) if j != i] or [1]))
+    return math.prod(getattr(ag, attr) for j, ag in enumerate(spec.agents) if j != i)
 
 
 def perturbation_coefficient(spec: GameSpec, diagnostics: ChainDiagnostics) -> tuple[float, ...]:
@@ -187,23 +187,14 @@ def margin_condition(
 ) -> tuple[bool, ...]:
     """Sufficient condition for the greedy policy to lock in near a fixed point.
 
-    Per agent, requires coef_i lambda n_signals_i G_i / (1 - delta_i)^2 to be
-    strictly below xi_i / 2 (the strategy distance is bounded above by 1).
-    Nonpositive margins fail the condition outright.
+    Per agent, requires the value-stability bound at strategy distance 1,
+    coef_i lambda n_signals_i G_i / (1 - delta_i)^2, to be strictly below
+    xi_i / 2 (the strategy distance is bounded above by 1). Nonpositive
+    margins fail the condition outright.
     """
     xis = _per_agent(xi, spec.n_agents, "margin")
-    lhs = margin_condition_lhs(spec, diagnostics, coupling)
+    lhs = q_stability_bound(spec, model_perturbation_bound(spec, diagnostics, 1.0, coupling))
     return tuple(x > 0 and side < x / 2 for side, x in zip(lhs, xis))
-
-
-def margin_condition_lhs(
-    spec: GameSpec, diagnostics: ChainDiagnostics, coupling: CouplingReport
-) -> tuple[float, ...]:
-    coef = perturbation_coefficient(spec, diagnostics)
-    return tuple(
-        c * coupling.lam * ag.n_signals * ag.reward_ceiling / (1.0 - ag.discount) ** 2
-        for c, ag in zip(coef, spec.agents)
-    )
 
 
 @dataclass(frozen=True)
@@ -211,9 +202,10 @@ class TheoremBounds:
     """Certificate bundle: every bound plus the inputs that produced it.
 
     model_gap_bound is the consistent-model bound at strategy distance 1;
-    value_stability_bound feeds that gap through the Q-stability formula;
-    rho is the softmax contraction factor with its certificate flag;
-    margin data is present when margins were supplied.
+    value_stability_bound feeds that gap through the Q-stability formula,
+    and margin_lhs, the left side of the margin condition, is that same
+    bound; rho is the softmax contraction factor with its certificate flag;
+    margin_condition_holds is present when margins were supplied.
     """
 
     model_gap_bound: tuple[float, ...]
@@ -234,7 +226,6 @@ def compute_bounds(
     model_gap = model_perturbation_bound(spec, diagnostics, 1.0, coupling=coupling)
     value_stab = q_stability_bound(spec, model_gap)
     rho = contraction_factor(spec, diagnostics, coupling)
-    lhs = margin_condition_lhs(spec, diagnostics, coupling)
     holds = None if xi is None else margin_condition(spec, diagnostics, coupling, xi)
     inputs = {
         "kappa": diagnostics.kappa,
@@ -260,6 +251,6 @@ def compute_bounds(
         rho=rho,
         rho_certified=rho < 1.0,
         margin_condition_holds=holds,
-        margin_lhs=lhs,
+        margin_lhs=value_stab,
         inputs=inputs,
     )

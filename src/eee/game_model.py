@@ -367,6 +367,8 @@ def game_from_jsonable(doc: dict) -> GameSpec:
         if not isinstance(ad, dict):
             raise ParseError(f"{where}: expected an object")
         n_actions = _number(ad, "n_actions", where, int)
+        if n_actions < 1:  # else no joint action exists and every env kernel key reads as unknown
+            raise ParseError(f"{where}: 'n_actions' must be >= 1, got {n_actions}")
         locals_doc = _get(ad, "local_kernels", where)
         if not isinstance(locals_doc, dict):
             raise ParseError(f"{where}: 'local_kernels' must be an object keyed by action")
@@ -454,13 +456,17 @@ def game_to_jsonable(spec: GameSpec) -> dict:
     return doc
 
 
-def load_game(path) -> GameSpec:
+def read_json(path):
+    """The parsed JSON document in the file at path; invalid JSON is a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    return game_from_jsonable(doc)
+
+
+def load_game(path) -> GameSpec:
+    return game_from_jsonable(read_json(path))
 
 
 def save_game(spec: GameSpec, path) -> None:

@@ -11,6 +11,7 @@ model must equal the long-run signal frequencies the profile induces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -186,19 +187,21 @@ def bellman_update(q, mu, spec: GameSpec) -> QTable:
     return QTable(tables=tuple(out))
 
 
-def max_metric_q(q, q_bar) -> float:
-    a, b = q_arrays(q), q_arrays(q_bar)
+def _max_distance(a, b, what: str) -> float:
+    """Largest entrywise gap between two per-agent table sequences of equal shapes."""
     if len(a) != len(b) or any(x.shape != y.shape for x, y in zip(a, b)):
-        raise SpecError("Q tables have mismatched dimensions")
+        raise SpecError(f"{what} have mismatched dimensions")
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
+
+
+def max_metric_q(q, q_bar) -> float:
+    return _max_distance(q_arrays(q), q_arrays(q_bar), "Q tables")
 
 
 def max_metric_strategy(sigma, sigma_bar) -> float:
-    a = tuple(getattr(sigma, "probs", sigma))
-    b = tuple(getattr(sigma_bar, "probs", sigma_bar))
-    if len(a) != len(b) or any(x.shape != y.shape for x, y in zip(a, b)):
-        raise SpecError("strategies have mismatched dimensions")
-    return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
+    return _max_distance(
+        tuple(getattr(sigma, "probs", sigma)), tuple(getattr(sigma_bar, "probs", sigma_bar)), "strategies"
+    )
 
 
 def _argmax_fingerprints(tables) -> tuple[bytes, ...]:
@@ -243,7 +246,10 @@ def q_value_iteration(
     if q.max_norm() > ceiling + 1e-9:
         raise SpecError(f"initial Q norm {q.max_norm():.6g} exceeds the ceiling {ceiling:.6g}")
 
-    tau = rule.resolve_tau(spec) if rule.kind == "softmax" else None
+    if rule.kind == "greedy":
+        policy = greedy_policy
+    else:
+        policy = functools.partial(softmax_policy, tau=rule.resolve_tau(spec))
     trace = IterationTrace(rule=rule)
     detector = CycleDetector(rule.kind, tol)
     models: dict[tuple[bytes, ...], ConsistentModel] = {}
@@ -252,8 +258,7 @@ def q_value_iteration(
 
     last_dq = math.inf
     for t in range(max_iter):
-        sigma = greedy_policy(q) if rule.kind == "greedy" else softmax_policy(q, tau)
-        cycle = detector.push(t, q, sigma, last_dq)
+        sigma = policy(q)
         if rule.kind == "greedy":
             fp = greedy_fps[-1]  # sigma's fingerprint, as sigma is one-hot at q's argmax
             if fp not in models:
@@ -261,28 +266,26 @@ def q_value_iteration(
             mu = models[fp]
         else:
             mu = _model_at(spec, sigma, t)
-        if cycle is not None:
-            _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, mu)
-            trace.final_q, trace.final_sigma = q, sigma
-            return trace, cycle
-
         q_next = bellman_update(q, mu, spec)
         dq = max_metric_q(q_next, q)
         dsigma = max_metric_strategy(sigma, prev_sigma) if prev_sigma is not None else math.nan
-        trace.record(TraceStep(t=t, q=q, sigma=sigma, mu=mu, dq=dq, dsigma=dsigma))
+        cycle = detector.push(t, q, sigma, last_dq)
+        # the cycle iterate is always kept, so a replay of the trace reaches the same report
+        trace.record(TraceStep(t=t, q=q, sigma=sigma, mu=mu, dq=dq, dsigma=dsigma), always=cycle is not None)
+        if cycle is not None:
+            trace.final_q, trace.final_sigma = q, sigma
+            return trace, cycle
 
         greedy_fps.append(_argmax_fingerprints(q_next.tables))
         if dq < tol and t >= 1 and greedy_fps[-1] == greedy_fps[-2] == greedy_fps[-3]:
-            trace.final_q = q_next
-            trace.final_sigma = greedy_policy(q_next) if rule.kind == "greedy" else softmax_policy(q_next, tau)
+            trace.final_q, trace.final_sigma = q_next, policy(q_next)
             return trace, TerminationReport(outcome="converged", at_iter=t + 1, residual=dq)
 
         prev_sigma = sigma
         q = q_next
         last_dq = dq
 
-    trace.final_q = q
-    trace.final_sigma = greedy_policy(q) if rule.kind == "greedy" else softmax_policy(q, tau)
+    trace.final_q, trace.final_sigma = q, policy(q)
     return trace, TerminationReport(outcome="max_iter", at_iter=max_iter, residual=last_dq)
 
 
@@ -291,13 +294,6 @@ def _model_at(spec, sigma, t) -> ConsistentModel:
         return consistent_model(spec, sigma)
     except VanishingMassError as exc:
         raise VanishingMassError(f"iteration {t}: {exc}") from exc
-
-
-def _record_terminal_step(trace, spec, t, q, sigma, prev_sigma, mu) -> None:
-    """Record the recurrence step itself so trace scans can reproduce the cycle."""
-    dq = max_metric_q(bellman_update(q, mu, spec), q)
-    dsigma = max_metric_strategy(sigma, prev_sigma) if prev_sigma is not None else math.nan
-    trace.record(TraceStep(t=t, q=q, sigma=sigma, mu=mu, dq=dq, dsigma=dsigma), always=True)
 
 
 def _softmax_cycle_scan(q_flat, history, dq_history, tol) -> int | None:
@@ -390,7 +386,12 @@ def detect_cycle(trace: IterationTrace, tol: float = 1e-9) -> TerminationReport 
     """Replay a recorded trace through the CycleDetector of its policy kind.
 
     Returns None when no cycle is present. On an unthinned trace of a run
-    this is the run's own cycle report.
+    this is the run's own cycle report. Past RETAIN_FULL iterations a trace
+    keeps one step in ten, and the replay scans the recorded steps, not the
+    iterations, so its verdict is the detector's for that thinned sequence
+    and can differ from the live run's: a greedy policy that holds across
+    two recorded steps ten iterations apart reads as a recurrence, and the
+    softmax scan's lags and stall test count recorded steps.
     """
     if not trace.steps:
         raise SpecError("trace is empty")
@@ -410,12 +411,11 @@ def margin(q, sigma) -> tuple[float, ...]:
     Positive exactly when the strategy is the strict greedy policy of Q at
     every state. Agents with a single action have an infinite margin.
     """
-    tables = q_arrays(q)
-    probs = tuple(getattr(sigma, "probs", sigma))
+    strat = Strategy(probs=tuple(getattr(sigma, "probs", sigma)))
+    if not strat.is_deterministic():
+        raise SpecError("margin requires a deterministic strategy")
     out = []
-    for t, p in zip(tables, probs):
-        if not np.all(np.max(p, axis=-1) >= 1.0 - 1e-12):
-            raise SpecError("margin requires a deterministic strategy")
+    for t, p in zip(q_arrays(q), strat.probs):
         if t.shape[-1] == 1:
             out.append(math.inf)
             continue
@@ -496,7 +496,7 @@ def _verification_report(spec, strat, mu, tol, optimality, margin_policy) -> Ver
     q_fixed = solve_q_fixed_point(spec, models)
     opt_resid = optimality(q_fixed)
     exact = consistent_model(spec, strat)
-    cons_resid = max(float(np.max(np.abs(m - e))) for m, e in zip(models, exact.mu))
+    cons_resid = _max_distance(models, exact.mu, "models")
     return VerificationReport(
         optimality_ok=opt_resid < tol,
         consistency_ok=cons_resid < tol,

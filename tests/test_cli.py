@@ -115,6 +115,19 @@ def test_run_iteration_cap_has_its_own_exit_code(tmp_path):
                  "--out", str(tmp_path / "m")]) == 4
 
 
+def test_run_with_a_one_action_agent_writes_its_infinite_margin(tmp_path, capsys):
+    doc = json.loads(Path(SPEC).read_text())
+    agent = doc["agents"][1]
+    agent["n_actions"] = 1
+    del agent["local_kernels"]["2"]
+    agent["reward"] = [per_state[:1] for per_state in agent["reward"]]
+    doc["env_kernels"] = {k: v for k, v in doc["env_kernels"].items() if k.endswith(",1")}
+    out = tmp_path / "one"
+    assert main(["run", write_json(tmp_path / "one.json", doc), "--alpha", "0.9", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("converged at_iter=68")
+    assert json.loads((out / "summary.json").read_text())["xi"][-1] == "inf"
+
+
 def test_run_without_out_records_the_default_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["run", SPEC, "--alpha", "0.9", "--max-iter", "3"]) == 4
@@ -477,8 +490,8 @@ def test_atomic_write_leaves_no_temporary_file_when_writing_fails(tmp_path):
 
 
 def test_sanitize_spells_out_infinities_for_strict_json():
-    doc = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": (True, None)}
-    assert _sanitize(doc) == {"a": ["inf", "-inf", None, 1.5], "b": [True, None]}
+    doc = {"a": [math.inf, -math.inf, math.nan, 1.5], "b": (True, None), "c": (np.array([[math.nan, 2.0]]),)}
+    assert _sanitize(doc) == {"a": ["inf", "-inf", None, 1.5], "b": [True, None], "c": [[[None, 2.0]]]}
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -13,7 +13,6 @@ from eee.coupling_bounds import (
     contraction_factor,
     coupling_value,
     margin_condition,
-    margin_condition_lhs,
     model_perturbation_bound,
     perturbation_coefficient,
     q_stability_bound,
@@ -194,12 +193,12 @@ def test_margin_condition_hand_cases(ex1_family):
     c = coupling_value(spec)
     assert margin_condition(spec, diag, c, (1.0, 1.0)) == (True, True)
     assert margin_condition(spec, diag, c, 0.0) == (False, False)
-    assert margin_condition_lhs(spec, diag, c) == (0.0, 0.0)
+    assert compute_bounds(spec, diag, c).margin_lhs == (0.0, 0.0)
 
 
 def test_margin_condition_fails_under_strong_coupling(ex1_spec, ex1_diag):
     c = coupling_value(ex1_spec)
-    lhs = margin_condition_lhs(ex1_spec, ex1_diag, c)
+    lhs = compute_bounds(ex1_spec, ex1_diag, c).margin_lhs
     assert all(v > 100 for v in lhs)  # far beyond any achievable margin here
     assert margin_condition(ex1_spec, ex1_diag, c, (1.0, 1.0)) == (False, False)
 

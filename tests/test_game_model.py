@@ -154,8 +154,18 @@ def test_parse_error_on_missing_field(ex1_family):
 
 def test_parse_error_on_unknown_action_key(ex1_family):
     doc = game_to_jsonable(ex1_family.base)
-    doc["env_kernels"]["3,1"] = doc["env_kernels"].pop("1,1")
-    with pytest.raises(ParseError):
+    doc["env_kernels"]["3,1"] = doc["env_kernels"]["1,1"]
+    with pytest.raises(ParseError, match=r"unknown joint action keys: \['3,1'\]"):
+        game_from_jsonable(doc)
+    del doc["env_kernels"]["1,1"]
+    with pytest.raises(ParseError, match=r"env kernel for joint action \(1,1\) missing"):
+        game_from_jsonable(doc)
+
+
+def test_parse_error_names_an_agent_without_actions(ex1_family):
+    doc = game_to_jsonable(ex1_family.base)
+    doc["agents"][0]["n_actions"] = 0
+    with pytest.raises(ParseError, match="agent 1: 'n_actions' must be >= 1, got 0"):
         game_from_jsonable(doc)
 
 

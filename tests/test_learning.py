@@ -274,6 +274,7 @@ def test_detect_cycle_reproduces_the_live_report(ex1_family, game, key, kind, ta
     trace, report = q_value_iteration(spec, PolicyRule(kind, tau=tau), max_iter=max_iter)
     assert report.outcome == outcome
     assert detect_cycle(trace) == (report if outcome == "cycle" else None)
+    assert all(step.dq == max_metric_q(bellman_update(step.q, step.mu, spec), step.q) for step in trace.steps)
 
 
 @pytest.mark.parametrize("alpha, max_iter", [
