@@ -84,10 +84,11 @@ def profile_arrays(arrays, spec: GameSpec, what: str = "strategy") -> tuple[np.n
         want = (ag.n_memory, ag.n_states, getattr(ag, last))
         if arr.shape != want:
             raise SpecError(f"agent {i + 1} {what} shape {arr.shape}, expected {want}")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise SpecError(f"agent {i + 1} {what} has a negative or non-finite entry")
         sums = arr.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        # nonnegative entries in rows that sum to 1 are finite; a NaN fails both tests
+        if not (arr.min(initial=0.0) >= 0 and np.abs(sums - 1.0).max(initial=0.0) <= 1e-9):
+            if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+                raise SpecError(f"agent {i + 1} {what} has a negative or non-finite entry")
             raise SpecError(f"agent {i + 1} {what} rows do not sum to 1")
         out.append(arr / sums[..., None] if what == "strategy" else arr)
     return tuple(out)
@@ -162,6 +163,64 @@ def require_dense_chain(spec: GameSpec) -> None:
     require_bytes(8 * (3 * n * n + factors), f"the {n} joint states of the dense chain")
 
 
+@dataclass(frozen=True)
+class _KernelPlan:
+    """The strategy-independent part of build_joint_transition for one spec.
+
+    factors[i][a] is agent i's step factor under action a, placed on axes
+    (w, p_i, p_i') of the agent-grouped sum; env[k] is joint action k's
+    environment kernel placed on (w, w'); sigma_shapes[i] places agent i's
+    strategy with its action axis first. split and order take the sum to
+    indexer order.
+    """
+
+    indexer: JointIndexer
+    joint_actions: tuple[tuple[int, ...], ...]
+    grouped: tuple[int, ...]
+    factors: tuple[np.ndarray, ...]
+    env: tuple[np.ndarray, ...]
+    sigma_shapes: tuple[tuple[int, ...], ...]
+    split: tuple[int, ...]
+    order: tuple[int, ...]
+
+
+def _kernel_plan(spec: GameSpec) -> _KernelPlan:
+    """The spec's _KernelPlan, made on the first call and kept on the spec
+    object, which is frozen; the agent cap and the dense-size check run then.
+
+    A spec made by dataclasses.replace is a new object with its own plan.
+    """
+    plan = spec.__dict__.get("_kernel_plan")
+    if plan is not None:
+        return plan
+    require_agent_cap(spec)
+    require_dense_chain(spec)
+    n_ag = spec.n_agents
+    n_env = spec.n_env
+    sizes = [ag.n_memory * ag.n_states for ag in spec.agents]
+    ndim = 3 + 2 * n_ag  # a leading action axis, then the grouped axes
+    # split p_i into (z_i, x_i): agent i's axes are 2 + 4i .. 5 + 4i
+    end = 2 + 4 * n_ag
+    plan = _KernelPlan(
+        indexer=spec.indexer(),
+        joint_actions=tuple(spec.joint_actions()),
+        grouped=(n_env, n_env) + tuple(d for p in sizes for d in (p, p)),
+        factors=tuple(
+            place_factor(f.reshape(len(f), n_env, p, p), ndim, (0, 1, 3 + 2 * i, 4 + 2 * i))
+            for i, (f, p) in enumerate(zip(agent_step_factors(spec), sizes))
+        ),
+        env=tuple(place_factor(e, ndim - 1, (0, 1)) for e in spec.env_kernels),
+        sigma_shapes=tuple(
+            place_factor(np.empty((ag.n_actions, p)), ndim, (0, 3 + 2 * i)).shape
+            for i, (ag, p) in enumerate(zip(spec.agents, sizes))
+        ),
+        split=(n_env, n_env) + tuple(d for ag in spec.agents for d in (ag.n_memory, ag.n_states) * 2),
+        order=(0, *range(2, end, 4), *range(3, end, 4), 1, *range(4, end, 4), *range(5, end, 4)),
+    )
+    object.__setattr__(spec, "_kernel_plan", plan)
+    return plan
+
+
 def build_joint_transition(spec: GameSpec, sigma) -> JointTransition:
     """Dense transition matrix over joint states (w, z_1..z_n, x_1..x_n).
 
@@ -179,50 +238,39 @@ def build_joint_transition(spec: GameSpec, sigma) -> JointTransition:
 
     Only where that arithmetic happens is chosen for speed. The sum is held
     agent-grouped, on axes (w, w', p_1, p_1', ..., p_n, p_n') with
-    p_i = (z_i, x_i), so each agent's factor is one contiguous block. Agent
-    1's two products go into a `leaf` buffer (n^2 / W doubles, no w' axis)
-    and the environment product into a `prod` buffer (n^2 doubles); both are
-    reused across joint actions and freed before one permuting copy puts the
-    sum in indexer order. That copy has 2 + 4n axes, at most numpy's 64,
-    which caps n at MAX_AGENTS.
+    p_i = (z_i, x_i), so each agent's factor is one contiguous block. The
+    first products, F_n[a_n] * sigma_n[a_n], are taken once per action of
+    agent n. Agent 1's two products go into a `leaf` buffer (n^2 / W
+    doubles, no w' axis) and the environment product into a `prod` buffer
+    (n^2 doubles); both are reused across joint actions and freed before one
+    permuting copy puts the sum in indexer order. That copy has 2 + 4n axes,
+    at most numpy's 64, which caps n at MAX_AGENTS. All that does not depend
+    on sigma comes from the spec's _kernel_plan; sigma is checked every call.
     """
-    require_agent_cap(spec)
-    require_dense_chain(spec)
-    n_ag = spec.n_agents
-    indexer = spec.indexer()
-    n = indexer.n_states
-    probs = strategy_arrays(sigma, spec)
-    factors = agent_step_factors(spec)
-
-    n_env = spec.n_env
-    sizes = [ag.n_memory * ag.n_states for ag in spec.agents]
-    ndim = 2 + 2 * n_ag
-    grouped = (n_env, n_env) + tuple(d for p in sizes for d in (p, p))
-    big = np.zeros(grouped)
-    prod = np.empty(grouped)
-    leaf = np.empty((n_env, 1) + grouped[2:])
-    for k, a in enumerate(spec.joint_actions()):
-        term = 1.0
-        for i in reversed(range(n_ag)):
-            p, pn = 2 + 2 * i, 3 + 2 * i
-            f = place_factor(factors[i][a[i]].reshape(n_env, sizes[i], sizes[i]), ndim, (0, p, pn))
-            s = place_factor(probs[i][:, :, a[i]].reshape(sizes[i]), ndim, (p,))
-            if i:
-                term = term * f
-                term *= s
-            else:
-                np.multiply(term, f, out=leaf)
-                leaf *= s
-        np.multiply(leaf, place_factor(spec.env_kernels[k], ndim, (0, 1)), out=prod)
+    plan = _kernel_plan(spec)
+    # per agent, its strategy with the action axis first, placed on p_i
+    cols = [p.reshape(-1, p.shape[-1]).T.reshape(shape)
+            for p, shape in zip(strategy_arrays(sigma, spec), plan.sigma_shapes)]
+    last = len(cols) - 1
+    first = plan.factors[last] * cols[last]  # 1.0 * F_n[a_n] is F_n[a_n]
+    big = np.zeros(plan.grouped)
+    prod = np.empty(plan.grouped)
+    leaf = np.empty((plan.grouped[0], 1) + plan.grouped[2:]) if last else None
+    for a, env in zip(plan.joint_actions, plan.env):
+        term = first[a[last]]
+        for i in range(last - 1, 0, -1):
+            term = term * plan.factors[i][a[i]]
+            term *= cols[i][a[i]]
+        if last:
+            np.multiply(term, plan.factors[0][a[0]], out=leaf)
+            term = leaf
+            term *= cols[0][a[0]]
+        np.multiply(term, env, out=prod)
         big += prod
-    del leaf, prod
-
-    # split p_i into (z_i, x_i): agent i's axes are 2 + 4i .. 5 + 4i
-    split = (n_env, n_env) + tuple(d for ag in spec.agents for d in (ag.n_memory, ag.n_states) * 2)
-    end = 2 + 4 * n_ag
-    order = (0, *range(2, end, 4), *range(3, end, 4), 1, *range(4, end, 4), *range(5, end, 4))
-    matrix = big.reshape(split).transpose(order).reshape(n, n)
-    return JointTransition(indexer=indexer, matrix=matrix)
+    del first, leaf, prod
+    n = plan.indexer.n_states
+    matrix = big.reshape(plan.split).transpose(plan.order).reshape(n, n)
+    return JointTransition(indexer=plan.indexer, matrix=matrix)
 
 
 def _as_matrix(T) -> np.ndarray:

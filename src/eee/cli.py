@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from datetime import datetime
 from pathlib import Path
 
@@ -34,6 +35,8 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_CYCLE = 3
 EXIT_MAX_ITER = 4
+
+TRACE_CHUNK_LINES = 4096
 
 
 def _configure_logging():
@@ -57,11 +60,13 @@ def _output_dir(arg: str | None, command: str) -> Path:
     return path
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
+    """Write text, one string or an iterable of chunks, to a temporary file
+    beside path, then rename it over path."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -112,33 +117,37 @@ def cmd_validate(args) -> int:
     return EXIT_DOMAIN
 
 
-def _trace_csv(trace: learning.IterationTrace, spec: GameSpec) -> str:
+def _trace_csv(trace: learning.IterationTrace, spec: GameSpec) -> Iterator[str]:
+    """trace.csv as chunks of text of about TRACE_CHUNK_LINES lines each.
+
+    One line per recorded step and (agent, z, x, a), as csv.writer writes
+    it: iteration, 1-based labels, sigma and Q as repr floats, the cell's
+    mu padded with empty columns to the largest signal count, then dq, and
+    dsigma or an empty column for the first step.
+    """
     max_s = max(ag.n_signals for ag in spec.agents)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["iter", "agent", "z", "x", "a", "sigma_prob", "q_value"]
-        + [f"mu_{s + 1}" for s in range(max_s)]
-        + ["step_dq", "step_dsigma"]
-    )
-    for step in trace.steps:
-        dsig = "" if math.isnan(step.dsigma) else repr(step.dsigma)
-        for i, ag in enumerate(spec.agents):
-            q = step.q.tables[i]
-            p = step.sigma.probs[i]
-            m = step.mu.mu[i]
-            for z in range(ag.n_memory):
-                for x in range(ag.n_states):
-                    mu_cols = [repr(float(v)) for v in m[z, x]]
-                    mu_cols += [""] * (max_s - ag.n_signals)
-                    for a in range(ag.n_actions):
-                        writer.writerow(
-                            [step.t, i + 1, z + 1, x + 1, a + 1,
-                             repr(float(p[z, x, a])), repr(float(q[z, x, a]))]
-                            + mu_cols
-                            + [repr(step.dq), dsig]
-                        )
-    return buf.getvalue()
+    yield ",".join(["iter", "agent", "z", "x", "a", "sigma_prob", "q_value"]
+                   + [f"mu_{s + 1}" for s in range(max_s)] + ["step_dq", "step_dsigma"]) + "\n"
+    labels = []  # per line of a step: its labels and the index of its (agent, z, x) cell
+    cells = []  # per cell: its signal count and padding
+    for i, ag in enumerate(spec.agents):
+        for z, x in np.ndindex(ag.n_memory, ag.n_states):
+            labels += [(f"{i + 1},{z + 1},{x + 1},{a + 1},", len(cells)) for a in range(ag.n_actions)]
+            cells.append((ag.n_signals, "," * (max_s - ag.n_signals)))
+    ts, dqs, dsigmas, qs, sigmas, mus = trace.table_rows()
+    per_chunk = max(1, TRACE_CHUNK_LINES // len(labels))
+    for lo in range(0, len(ts), per_chunk):
+        part = slice(lo, lo + per_chunk)
+        lines = []
+        for t, dq, dsig, q, p, m in zip(ts[part].tolist(), dqs[part].tolist(), dsigmas[part].tolist(),
+                                        qs[part].tolist(), sigmas[part].tolist(), mus[part].tolist()):
+            tail = f",{dq!r},{'' if math.isnan(dsig) else repr(dsig)}\n"
+            mu_cols, off = [], 0
+            for n_s, pad in cells:
+                mu_cols.append(",".join(map(repr, m[off : off + n_s])) + pad)
+                off += n_s
+            lines += [f"{t},{label}{pv!r},{qv!r},{mu_cols[c]}{tail}" for (label, c), pv, qv in zip(labels, p, q)]
+        yield "".join(lines)
 
 
 def cmd_run(args) -> int:

@@ -12,8 +12,13 @@ model must equal the long-run signal frequencies the profile induces.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import deque
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,23 +105,111 @@ class TraceStep:
     dsigma: float
 
 
-@dataclass
+class _Rows:
+    """A 2-D float array grown one row at a time; when full, its capacity
+    grows by a quarter, so it holds at most a quarter more rows than filled."""
+
+    def __init__(self, width: int):
+        self.n = 0
+        self._buf = np.empty((0, width))
+
+    def append(self, row) -> None:
+        if self.n == len(self._buf):
+            buf = np.empty((max(16, self.n + self.n // 4), self._buf.shape[1]))
+            buf[: self.n] = self._buf
+            self._buf = buf
+        self._buf[self.n] = row
+        self.n += 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buf[: self.n]
+
+
 class IterationTrace:
-    rule: PolicyRule
-    steps: list[TraceStep] = field(default_factory=list)
-    dq_history: list[float] = field(default_factory=list)
-    final_q: QTable | None = None
-    final_sigma: Strategy | None = None
+    """The recorded steps of one run, and the step distance of every iteration.
+
+    A recorded step is one row of a float array: its iteration number, dq and
+    dsigma, then its Q tables, strategy and model, each agent's table
+    flattened in turn; the first recorded step fixes the table shapes. On the
+    bundled example that is 51 doubles a step. `steps` reads the rows back as
+    TraceStep views with read-only tables, and table_rows reads them as
+    columns. dq_history holds one double per iteration.
+    """
+
+    def __init__(self, rule: PolicyRule):
+        self.rule = rule
+        self.dq_history = array("d")
+        self.final_q: QTable | None = None
+        self.final_sigma: Strategy | None = None
+        self._rows = _Rows(3)
+        self._shapes: tuple[tuple[tuple[int, ...], ...], ...] = ((), (), ())  # Q, sigma, mu tables
+        self._bounds = (3, 3, 3, 3)  # where the Q, sigma and mu columns start, and the row's end
 
     def record(self, step: TraceStep, always: bool = False) -> None:
+        """Copy step into a new row, unless it is thinned out, and append its dq."""
         # full retention up to RETAIN_FULL iterations, 1-in-10 beyond
         if always or step.t <= RETAIN_FULL or step.t % 10 == 0:
-            self.steps.append(step)
+            groups = (q_arrays(step.q), tuple(getattr(step.sigma, "probs", step.sigma)), model_arrays(step.mu))
+            shapes = tuple(tuple(np.shape(t) for t in g) for g in groups)
+            if not self._rows.n:
+                self._shapes = shapes
+                sizes = (sum(map(math.prod, g)) for g in shapes)
+                self._bounds = tuple(itertools.accumulate(sizes, initial=3))
+                self._rows = _Rows(self._bounds[-1])
+            elif shapes != self._shapes:
+                raise SpecError(f"iteration {step.t} has tables shaped {shapes}, the trace's are {self._shapes}")
+            tables = (np.ravel(t) for g in groups for t in g)
+            self._rows.append(np.concatenate([(step.t, step.dq, step.dsigma), *tables]))
         self.dq_history.append(step.dq)
+
+    def table_rows(self) -> tuple[np.ndarray, ...]:
+        """Read-only columns with one entry per recorded step: the iteration
+        numbers, dq and dsigma as vectors, then Q, sigma and mu as matrices
+        whose rows hold each agent's table flattened in turn."""
+        rows = self._rows.rows.view()
+        rows.flags.writeable = False
+        b = self._bounds
+        return (rows[:, 0].astype(int), rows[:, 1], rows[:, 2],
+                rows[:, b[0] : b[1]], rows[:, b[1] : b[2]], rows[:, b[2] : b[3]])
+
+    def _step(self, k: int) -> TraceStep:
+        row = self._rows.rows[k]
+        row.flags.writeable = False
+        groups, col = [], 3
+        for shapes in self._shapes:
+            groups.append([])
+            for shape in shapes:
+                groups[-1].append(row[col : col + math.prod(shape)].reshape(shape))
+                col += math.prod(shape)
+        q, sigma, mu = (tuple(g) for g in groups)
+        return TraceStep(t=int(row[0]), q=QTable(tables=q), sigma=Strategy(probs=sigma),
+                         mu=ConsistentModel(mu=mu), dq=float(row[1]), dsigma=float(row[2]))
+
+    @property
+    def steps(self) -> "_Steps":
+        """The recorded steps, in order, as a sequence of TraceStep views."""
+        return _Steps(self)
 
     @property
     def final_mu(self) -> ConsistentModel | None:
         return self.steps[-1].mu if self.steps else None
+
+
+class _Steps(Sequence):
+    """The recorded steps of an IterationTrace; a slice is a list."""
+
+    def __init__(self, trace: IterationTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace._rows.n
+
+    def __getitem__(self, k):
+        picked = range(len(self))[k]  # an IndexError past either end
+        if isinstance(k, slice):
+            return [self._trace._step(j) for j in picked]
+        return self._trace._step(picked)
 
 
 @dataclass(frozen=True)
@@ -253,7 +346,7 @@ def q_value_iteration(
     trace = IterationTrace(rule=rule)
     detector = CycleDetector(rule.kind, tol)
     models: dict[tuple[bytes, ...], ConsistentModel] = {}
-    greedy_fps = [_argmax_fingerprints(q.tables)]
+    greedy_fps = deque([_argmax_fingerprints(q.tables)], maxlen=3)  # the convergence test reads three
     prev_sigma: Strategy | None = None
 
     last_dq = math.inf
@@ -296,31 +389,6 @@ def _model_at(spec, sigma, t) -> ConsistentModel:
         raise VanishingMassError(f"iteration {t}: {exc}") from exc
 
 
-def _softmax_cycle_scan(q_flat, history, dq_history, tol) -> int | None:
-    """Matching iterate index at lag >= 2, or None; history holds one flat Q
-    per row.
-
-    A recurrence alone does not separate a genuine orbit from a damped
-    oscillation spiralling into a fixed point, so a candidate period p only
-    counts when the one-step distance has stalled: dq must not have decayed
-    faster than STALL_RATE per step across the last period.
-    """
-    t = len(history)
-    if t < 4 or not (dq_history and dq_history[-1] >= tol):
-        return None
-    lo = t - t // 2  # candidate indices j = t - p with 2 <= p <= t // 2; t >= 4 gives hi >= lo
-    hi = t - 2
-    diffs = np.max(np.abs(history[lo : hi + 1] - q_flat), axis=1)
-    for k in range(diffs.size - 1, -1, -1):  # largest j first, smallest period
-        if diffs[k] >= tol:
-            continue
-        j = lo + k
-        period = t - j
-        if j - 1 < len(dq_history) and dq_history[-1] >= STALL_RATE**period * dq_history[j - 1]:
-            return j
-    return None
-
-
 class CycleDetector:
     """The cycle rule of one policy kind, fed one iterate at a time.
 
@@ -328,21 +396,22 @@ class CycleDetector:
     step distance of the iterate pushed before it; it returns the cycle
     report, or None. Greedy: an exact policy recurs at an iteration distance
     of at least 2. Softmax: Q matches an iterate at least two pushes back
-    within tol while the step distance has stalled (_softmax_cycle_scan).
-    The softmax scan counts pushes, so a thinned trace is scanned as
-    recorded; reports give iteration numbers, and the residual is the step
-    distance pushed with the recurrence. Softmax keeps its flat Q tables as
-    the rows of one array that doubles when full, so a scan reads a slice.
+    within tol while the step distance has stalled (_softmax_match). The
+    softmax scan counts pushes, so a thinned trace is scanned as recorded;
+    reports give iteration numbers, and the residual is the step distance
+    pushed with the recurrence.
     """
 
     def __init__(self, kind: str, tol: float):
         self.kind = kind
         self.tol = tol
-        self._ts: list[int] = []
-        self._dqs: list[float] = []  # step distance of every push but the latest
+        self._ts = array("q")
+        self._dqs = array("d")  # step distance of every push but the latest
         self._history: list = []  # greedy: agent fingerprints per push
         self._seen: dict[tuple[bytes, ...], int] = {}  # greedy: policy fingerprint -> latest push
-        self._rows = np.empty((0, 1))  # softmax: flat Q of push k in row k
+        self._rows: _Rows | None = None  # softmax: flat Q of push k in row k
+        self._keys = array("d")  # softmax: the first entry of every pushed Q, sorted
+        self._key_pushes = array("q")  # softmax: the push each key came from
 
     def push(self, t: int, q: QTable, sigma: Strategy, last_dq: float) -> TerminationReport | None:
         k = len(self._ts)
@@ -362,15 +431,17 @@ class CycleDetector:
             )
         else:
             flat = q.flat()
-            if k == len(self._rows):
-                rows = np.empty((max(2 * k, 16), flat.size))
-                rows[:k] = self._rows
-                self._rows = rows
-            j = _softmax_cycle_scan(flat, self._rows[:k], self._dqs, self.tol)
-            self._rows[k] = flat
+            if self._rows is None:
+                self._rows = _Rows(flat.size)
+            key = float(flat[0])
+            j = self._softmax_match(flat, key, k)
+            self._rows.append(flat)
+            pos = bisect_right(self._keys, key)
+            self._keys.insert(pos, key)
+            self._key_pushes.insert(pos, k)
             if j is None:
                 return None
-            window = self._rows[j : k + 1]
+            window = self._rows.rows[j : k + 1]
             gaps = np.abs(window - window[0])
             offs = np.cumsum([0] + [tab.size for tab in q.tables])
             agents = tuple(
@@ -380,6 +451,38 @@ class CycleDetector:
             outcome="cycle", at_iter=t, residual=last_dq,
             period=t - self._ts[j], first_seen=self._ts[j], cycling_agents=agents,
         )
+
+    def _softmax_match(self, flat: np.ndarray, key: float, t: int) -> int | None:
+        """The push j of the earlier Q that flat, pushed t-th with first entry
+        key, recurs to, or None.
+
+        j ranges over t - t // 2 .. t - 2 (lag >= 2), largest j (smallest
+        period) first. A recurrence alone does not separate a genuine orbit
+        from a damped oscillation spiralling into a fixed point, so a period
+        p = t - j only counts when the one-step distance has stalled: dq
+        must not have decayed faster than STALL_RATE per step across the last
+        period. A row within tol of flat in every entry has its first entry
+        within tol of key, so inside the bisect window key -/+ 2 tol, whose
+        computed bounds still hold it since rounding is monotonic. Only the
+        rows in that window get the full test, and the match returned is
+        the one a scan of every row finds. The window narrows the scan only
+        where Q's first entry varies between iterates.
+        """
+        dqs, tol = self._dqs, self.tol
+        if t < 4 or not dqs[-1] >= tol:
+            return None
+        lo, hi = t - t // 2, t - 2
+        keys = self._keys
+        window = self._key_pushes[bisect_left(keys, key - 2 * tol) : bisect_right(keys, key + 2 * tol)]
+        pushes = sorted((j for j in window if lo <= j <= hi), reverse=True)
+        if not pushes:
+            return None
+        # not >= rather than <, so a NaN gap is near, as it was in a scan of every row
+        near = ~(np.max(np.abs(self._rows.rows[pushes] - flat), axis=1) >= tol)
+        for j in np.asarray(pushes)[near].tolist():
+            if dqs[-1] >= STALL_RATE ** (t - j) * dqs[j - 1]:
+                return j
+        return None
 
 
 def detect_cycle(trace: IterationTrace, tol: float = 1e-9) -> TerminationReport | None:

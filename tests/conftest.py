@@ -1,6 +1,9 @@
 """Shared fixtures: the bundled example game, random valid games, and the
 oracles that replaced implementations are tested against."""
 
+import csv
+import io
+import math
 import string
 
 import numpy as np
@@ -210,8 +213,9 @@ def oracle_softmax_cycle_scan(q_flat, history, dq_history, tol):
     """The softmax cycle scan over a list of flat Q vectors, stacked anew at
     every call.
 
-    This is the code learning._softmax_cycle_scan replaced with a scan of a
-    row slice, kept as the differential oracle (compared exactly).
+    This is the scan learning.CycleDetector replaced with a bisect filter on
+    one Q entry, kept as the differential oracle (compared exactly at every
+    push).
     """
     t = len(history)
     if t < 4 or not (dq_history and dq_history[-1] >= tol):
@@ -230,6 +234,41 @@ def oracle_softmax_cycle_scan(q_flat, history, dq_history, tol):
         if j - 1 < len(dq_history) and dq_history[-1] >= STALL_RATE**period * dq_history[j - 1]:
             return j
     return None
+
+
+def oracle_trace_csv(trace, spec) -> str:
+    """trace.csv as one string, row by row through csv.writer from the
+    trace's TraceStep views.
+
+    This is the writer cli._trace_csv replaced with chunks formatted from the
+    trace's table rows, kept as the differential oracle (bytes compared).
+    """
+    max_s = max(ag.n_signals for ag in spec.agents)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["iter", "agent", "z", "x", "a", "sigma_prob", "q_value"]
+        + [f"mu_{s + 1}" for s in range(max_s)]
+        + ["step_dq", "step_dsigma"]
+    )
+    for step in trace.steps:
+        dsig = "" if math.isnan(step.dsigma) else repr(step.dsigma)
+        for i, ag in enumerate(spec.agents):
+            q = step.q.tables[i]
+            p = step.sigma.probs[i]
+            m = step.mu.mu[i]
+            for z in range(ag.n_memory):
+                for x in range(ag.n_states):
+                    mu_cols = [repr(float(v)) for v in m[z, x]]
+                    mu_cols += [""] * (max_s - ag.n_signals)
+                    for a in range(ag.n_actions):
+                        writer.writerow(
+                            [step.t, i + 1, z + 1, x + 1, a + 1,
+                             repr(float(p[z, x, a])), repr(float(q[z, x, a]))]
+                            + mu_cols
+                            + [repr(step.dq), dsig]
+                        )
+    return buf.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -139,6 +139,22 @@ def test_builder_equals_the_einsum_oracle_bit_for_bit(ex1_spec):
         assert np.array_equal(build_joint_transition(spec, sigma).matrix, oracle_joint_matrix(spec, sigma))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_game(4),
+    lambda: random_game(8, n_agents=3, max_dim=2),
+    lambda: shaped_game(2, 1, ((2, 3, 2, 2),)),  # W = 1, one agent: the matrix can view the sum
+], ids=["two-agents", "three-agents", "one-env-state"])
+def test_successive_builds_on_one_spec_each_equal_the_oracle(make):
+    """The spec keeps its strategy-independent build parts between builds;
+    no build may change them, nor an earlier build's matrix."""
+    spec = make()
+    rng = np.random.default_rng(3)
+    sigmas = [random_strategy(rng, spec, deterministic=k % 2 == 0) for k in range(4)]
+    matrices = [build_joint_transition(spec, sigma).matrix for sigma in sigmas]
+    for matrix, sigma in zip(matrices, sigmas):
+        assert np.array_equal(matrix, oracle_joint_matrix(spec, sigma))
+
+
 def test_builder_takes_agents_up_to_numpys_axis_limit():
     # 2 + 4n axes: 15 agents use 62 of numpy's 64
     spec, sigma = signal_only_game(MAX_AGENTS)

@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eee import chain_analysis, learning
-from eee.cli import _atomic_write, _load_spec, _sanitize, main
+from eee import chain_analysis, cli, learning
+from eee.cli import _atomic_write, _load_spec, _sanitize, _trace_csv, main
 from eee.game_model import AgentSpec, GameSpec, build_example1, example1_path, game_to_jsonable, save_game
 
-from conftest import sigma_star, signal_only_game
+from conftest import oracle_trace_csv, random_game, sigma_star, signal_only_game
 
 SPEC = str(example1_path())
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -126,6 +126,30 @@ def test_run_with_a_one_action_agent_writes_its_infinite_margin(tmp_path, capsys
     assert main(["run", write_json(tmp_path / "one.json", doc), "--alpha", "0.9", "--out", str(out)]) == 0
     assert capsys.readouterr().out.startswith("converged at_iter=68")
     assert json.loads((out / "summary.json").read_text())["xi"][-1] == "inf"
+
+
+TRACE_CSV_CASES = [
+    # game, alpha or seed, policy, RETAIN_FULL, TRACE_CHUNK_LINES
+    pytest.param("ex1", 0.9, "greedy", None, None, id="ex1-greedy"),
+    pytest.param("ex1", 0.9, "softmax", None, None, id="ex1-softmax"),
+    pytest.param("ex1", 1.0, "greedy", None, None, id="ex1-cycle"),
+    pytest.param("ex1", 0.9, "softmax", 20, 40, id="ex1-thinned"),  # 32 of 137 steps, chunks of 2
+    # three agents with 3, 2 and 3 signals: agent 2's mu is padded; a chunk per step
+    pytest.param("random", 11, "softmax", None, 10, id="game11-padded"),
+]
+
+
+@pytest.mark.parametrize("game, key, policy, retain, chunk", TRACE_CSV_CASES)
+def test_trace_csv_equals_the_oracle(monkeypatch, ex1_family, game, key, policy, retain, chunk):
+    if retain is not None:
+        monkeypatch.setattr(learning, "RETAIN_FULL", retain)
+    if chunk is not None:
+        monkeypatch.setattr(cli, "TRACE_CHUNK_LINES", chunk)
+    spec = ex1_family.at(key) if game == "ex1" else random_game(key, n_agents=3, max_dim=3)
+    trace, _ = learning.q_value_iteration(spec, learning.PolicyRule(policy), tol=1e-9)
+    chunks = list(_trace_csv(trace, spec))
+    assert "".join(chunks) == oracle_trace_csv(trace, spec)
+    assert len(chunks) > 2 if chunk else len(chunks) == 2
 
 
 def test_run_without_out_records_the_default_directory(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,9 @@
 """Policy updates, Bellman iteration, termination, and equilibrium verification."""
 
+import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,29 +279,66 @@ def test_detect_cycle_reproduces_the_live_report(ex1_family, game, key, kind, ta
     assert all(step.dq == max_metric_q(bellman_update(step.q, step.mu, spec), step.q) for step in trace.steps)
 
 
+def _detector_against_the_oracle(trace, tol):
+    """Push every recorded step into a softmax CycleDetector and check its
+    verdict against oracle_softmax_cycle_scan's at every push; returns the
+    oracle's matches."""
+    steps = list(trace.steps)
+    flats = [step.q.flat() for step in steps]
+    dqs = [step.dq for step in steps]
+    detector = learning.CycleDetector("softmax", tol)
+    found = []
+    for t, step in enumerate(steps):
+        want = oracle_softmax_cycle_scan(flats[t], flats[:t], dqs[:t], tol)
+        report = detector.push(step.t, step.q, step.sigma, dqs[t - 1] if t else math.inf)
+        if want is None:
+            assert report is None
+        else:
+            assert (report.first_seen, report.at_iter) == (steps[want].t, step.t)
+        found.append(want)
+    return found
+
+
 @pytest.mark.parametrize("alpha, max_iter", [
     (0.9264858860491111, 600),  # a slow period-2 spiral: candidates pass the stall test
     (0.9, 600),  # converges at 137: candidates fail the stall test
 ], ids=["spiral", "damped"])
 def test_softmax_scan_equals_the_stacking_oracle(ex1_family, alpha, max_iter):
     trace, _ = q_value_iteration(ex1_family.at(alpha), PolicyRule("softmax"), max_iter=max_iter)
-    flats = [step.q.flat() for step in trace.steps]
-    rows = np.array(flats)
-    dqs = [step.dq for step in trace.steps]
-    found = []
-    for tol in (1e-9, 1e-3, 1e-2, 0.1):
-        detector = learning.CycleDetector("softmax", tol)  # its own rows, grown push by push
-        for t, step in enumerate(trace.steps):
-            want = oracle_softmax_cycle_scan(flats[t], flats[:t], dqs[:t], tol)
-            assert learning._softmax_cycle_scan(flats[t], rows[:t], dqs[:t], tol) == want
-            report = detector.push(step.t, step.q, step.sigma, dqs[t - 1] if t else math.inf)
-            if want is None:
-                assert report is None
-            else:
-                assert (report.first_seen, report.at_iter) == (trace.steps[want].t, step.t)
-            found.append(want)
+    found = [j for tol in (1e-9, 1e-3, 1e-2, 0.1) for j in _detector_against_the_oracle(trace, tol)]
     assert any(j is None for j in found)
     assert any(j is not None for j in found) == (alpha != 0.9)
+
+
+@pytest.fixture(scope="module")
+def ex1_softmax_cycle(ex1_family):
+    """The softmax run on ex1 at alpha = 0.925: a period-2 cycle found at
+    iteration 1939, after 1,940 recorded steps."""
+    return q_value_iteration(ex1_family.at(0.925), PolicyRule("softmax"), tol=1e-9)
+
+
+def test_softmax_scan_equals_the_stacking_oracle_up_to_a_late_cycle(ex1_softmax_cycle):
+    trace, report = ex1_softmax_cycle
+    assert (report.outcome, report.first_seen, report.at_iter) == ("cycle", 1937, 1939)
+    found = _detector_against_the_oracle(trace, 1e-9)
+    assert found[-1] == 1937 and found[:-1] == [None] * 1939
+
+
+def test_a_long_trace_keeps_about_400_bytes_a_step(ex1_softmax_cycle):
+    """What the trace of a 1,940-step run keeps alive, counted by tracemalloc
+    as the bytes a deep copy of it allocates: 51 doubles a step on ex1 (408
+    bytes) plus the rows not yet filled. A list of TraceStep objects, the
+    earlier storage, measured 2,732 bytes a step this way."""
+    trace, _ = ex1_softmax_cycle
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = copy.deepcopy(trace)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept.steps) == len(kept.dq_history) == 1940
+    assert size <= 600 * 1940
 
 
 def test_detect_cycle_names_the_varying_softmax_agent():
@@ -318,6 +357,25 @@ def test_detect_cycle_names_the_varying_softmax_agent():
 def test_detect_cycle_requires_steps():
     with pytest.raises(SpecError, match="empty"):
         detect_cycle(IterationTrace(rule=PolicyRule("greedy")))
+
+
+def test_trace_rows_read_back_as_the_recorded_steps():
+    trace = IterationTrace(rule=PolicyRule("greedy"))
+    assert len(trace.steps) == 0 and trace.final_mu is None
+    for t in range(3):
+        trace.record(_dummy_step(t, _one_hot_sigma(t % 2)))
+    last = trace.steps[-1]
+    assert (last.t, last.dq, last.sigma.probs[0].tolist()) == (2, 1.0, [[[1.0, 0.0]]])
+    assert [s.t for s in trace.steps[::2]] == [0, 2]
+    with pytest.raises(IndexError):
+        trace.steps[3]
+    with pytest.raises(ValueError, match="read-only"):
+        last.q.tables[0][0, 0, 0] = 1.0
+    # a step whose tables are shaped unlike the first step's is refused, not reshaped
+    step = _dummy_step(3, Strategy(probs=(np.array([[[0.5, 0.5]], [[0.5, 0.5]]]),)))
+    with pytest.raises(SpecError, match="iteration 3 has tables shaped"):
+        trace.record(step)
+    assert len(trace.steps) == 3
 
 
 def test_margin_hand_values():
@@ -463,11 +521,16 @@ def test_greedy_memo_matches_fresh_solves(game, ex1_family, monkeypatch):
     assert len(distinct) < len(trace.steps)
 
 
-def test_greedy_memo_serves_the_cycle_step(ex1_family):
+def test_greedy_memo_serves_the_cycle_step(ex1_family, monkeypatch):
+    calls = _spy_models(monkeypatch)
     trace, report = q_value_iteration(ex1_family.at(1.0), PolicyRule("greedy"), tol=1e-9)
     assert report.outcome == "cycle"
     first = next(s for s in trace.steps if s.t == report.first_seen)
-    assert trace.steps[-1].mu is first.mu
+    last = trace.steps[-1]
+    # the cycle step's policy was solved at first_seen; the cycle step solved nothing
+    assert _fingerprint(last.sigma) == _fingerprint(first.sigma)
+    assert len(calls) == len({_fingerprint(s.sigma) for s in trace.steps[:-1]})
+    assert all(np.array_equal(m, f) for m, f in zip(last.mu.mu, first.mu.mu))
 
 
 def test_softmax_runs_solve_every_iteration(ex1_spec, monkeypatch):
