@@ -11,10 +11,11 @@ Reproducibility: the generator is numpy's default_rng (PCG64). The stream is
 consumed in a fixed documented order: one integer for the uniform initial
 joint state, then one uniform per step; each step is resolved by inverse CDF
 over the full outcome row (joint action, signals, next local states, next
-environment state) in lexicographic C order. A state's row is built on its
-first visit, and its cumulative sums are divided by their last entry. A step
-takes the first entry of that normalized row above its uniform, by bisect_right,
-which is np.searchsorted(side="right") on the same doubles: the stream is unchanged.
+environment state) in lexicographic C order. The rows of the states sharing
+(w, z) are built as one block on the first visit to any of them, and each
+row's cumulative sums are divided by their last entry. A step takes the first
+entry of that normalized row above its uniform, by bisect_right, which is
+np.searchsorted(side="right") on the same doubles: the stream is unchanged.
 """
 
 from __future__ import annotations
@@ -70,25 +71,23 @@ class ComparisonReport:
     n_defined: int
 
 
-def _outcome_row(spec: GameSpec, probs, psi: tuple[int, ...]) -> np.ndarray:
-    """Outcome probabilities of the joint state psi = (w, z, x), in outcome order.
+def _outcome_block(spec: GameSpec, probs, wz: tuple[int, ...], out: np.ndarray) -> None:
+    """Write into out, C-contiguous (prod |X_i|, n_outcomes), the outcome rows of
+    the joint states (w, z, x) for every x in C order, in outcome order.
 
-    The environment row, shaped (A_1..A_n, 1.., W'), is multiplied by one
-    broadcast factor per agent, h_i[a_i, s_i, x'_i] = sigma_i[z_i, x_i, a_i]
-    * M_i[w, s_i] * L_i[a_i, x_i, s_i, x'_i], placed on the agent's action,
-    signal and next-local-state axes.
+    The environment row for w is broadcast over the x axes, then multiplied in
+    place by one factor per agent, h_i[x_i, a_i, s_i, x'_i] = (sigma_i[z_i, x_i, a_i]
+    * M_i[w, s_i]) * L_i[a_i, x_i, s_i, x'_i], on the agent's x, a, s and x' axes.
     """
-    n = spec.n_agents
-    w, zs, xs = psi[0], psi[1 : 1 + n], psi[1 + n :]
-    row = spec.env_kernels[:, w, :].reshape(*spec.action_dims, *(1,) * (2 * n), spec.n_env)
+    n, w, zs, ndim = spec.n_agents, wz[0], wz[1:], 4 * spec.n_agents + 1
+    x_dims = tuple(ag.n_states for ag in spec.agents)
+    blk = out.reshape(*x_dims, *spec.action_dims, *(ag.n_signals for ag in spec.agents), *x_dims, spec.n_env)
+    env = spec.env_kernels[:, w, :].reshape(*spec.action_dims, spec.n_env)
+    np.copyto(blk, place_factor(env, ndim, (*range(n, 2 * n), ndim - 1)))
     for i, ag in enumerate(spec.agents):
-        h = (
-            probs[i][zs[i], xs[i], :, None, None]
-            * ag.signal_kernel[w, None, :, None]
-            * ag.local_kernels_4d[:, xs[i]]
-        )
-        row = row * place_factor(h, 3 * n + 1, (i, n + i, 2 * n + i))
-    return row.ravel()
+        h = probs[i][zs[i], :, :, None, None] * ag.signal_kernel[w, None, None, :, None]
+        h = h * ag.local_kernels_4d.transpose(1, 0, 2, 3)
+        np.multiply(blk, place_factor(h, ndim, (i, n + i, 2 * n + i, 3 * n + i)), out=blk)
 
 
 def require_window(horizon: int, burn_in: int) -> None:
@@ -105,33 +104,34 @@ def simulate(
     Deterministic given (spec, sigma, horizon, seed, burn_in). The initial
     joint state is uniform. The trajectory keeps each step's flat joint state
     and flat outcome index; np.unravel_index over state_dims and the outcome
-    order decodes them. Each step is one bisect_right over the state's normalized
-    cumulative row, equivalent to searchsorted(side="right"); the stream is unchanged.
+    order decodes them. The rows of the states sharing (w, z) are built as one block
+    on the first visit to any of them. Each step is one bisect_right over its state's
+    normalized cumulative row, as searchsorted(side="right"); the stream is unchanged.
     """
     require_valid(spec)
     require_agent_cap(spec)
     require_window(horizon, burn_in)
     probs = strategy_arrays(sigma, spec)
-    indexer = spec.indexer()
-    state_dims, n_states = indexer.state_dims, indexer.n_states
-    n = spec.n_agents
+    state_dims, n = spec.indexer().state_dims, spec.n_agents
+    # x is fastest in the joint index: the n_x states sharing (w, z) are block state // n_x
+    block_dims = state_dims[: 1 + n]
+    n_states, n_z, n_x = math.prod(state_dims), math.prod(block_dims[1:]), math.prod(state_dims[1 + n :])
     # outcomes: joint action (slowest), then the tail of signals, next local states and
-    # next environment; the next state depends on the tail alone: nxt_rows[state, o % n_tail]
+    # next environment; the next state depends on z and the tail alone: nxt_rows[z, o % n_tail]
     tail_dims = (*(ag.n_signals for ag in spec.agents), *(ag.n_states for ag in spec.agents), spec.n_env)
     out_dims = (spec.n_joint_actions, *tail_dims)
-    n_tail, ndim = math.prod(tail_dims), len(tail_dims)
-    n_out = spec.n_joint_actions * n_tail
-    require_bytes(8 * n_states * (n_out + n_tail), f"the simulator's outcome rows for {n_states} joint states")
-
-    def next_row(psi: tuple[int, ...]) -> np.ndarray:
-        """Next flat state per outcome tail: w' from the outcome, memory_rule_i[z_i, s_i]
-        on each signal axis, x'_i on each next-local axis."""
-        parts = [
-            place_factor(np.arange(spec.n_env), ndim, (ndim - 1,)),
-            *(place_factor(ag.memory_rule[psi[1 + i]], ndim, (i,)) for i, ag in enumerate(spec.agents)),
-            *(place_factor(np.arange(ag.n_states), ndim, (n + i,)) for i, ag in enumerate(spec.agents)),
-        ]
-        return np.broadcast_to(np.ravel_multi_index(parts, state_dims), tail_dims).ravel()
+    n_tail, n_out, ndim = math.prod(tail_dims), math.prod(out_dims), n + len(tail_dims)
+    require_bytes(8 * n_states * n_out + 8 * n_z * n_tail,
+                  f"the simulator's outcome rows for {n_states} joint states")
+    # filled at once, as it is at most 1/(W n_x |A|) of the rows' bytes. On axes (z, tail): w'
+    # from the outcome, memory_rule_i[z_i, s_i] on agent i's memory and signal axes, x'_i on
+    # its next-local axis
+    parts = [
+        place_factor(np.arange(spec.n_env), ndim, (ndim - 1,)),
+        *(place_factor(ag.memory_rule, ndim, (i, n + i)) for i, ag in enumerate(spec.agents)),
+        *(place_factor(np.arange(ag.n_states), ndim, (2 * n + i,)) for i, ag in enumerate(spec.agents)),
+    ]
+    nxt_rows = np.ravel_multi_index(parts, state_dims)
 
     rng = np.random.default_rng(seed)
     state = int(rng.integers(n_states))
@@ -139,31 +139,31 @@ def simulate(
     states = np.empty(horizon, dtype=np.int64)
     outcomes = np.empty(horizon, dtype=np.int64)
 
-    # rows filled on a state's first visit, held in two arrays rather than two
-    # small arrays per state, which would leave a fragmented heap behind. Each
-    # cumulative row is divided by its last entry, so the last outcome of
-    # positive probability ends at exactly 1.0 and no uniform in [0, 1) can
-    # land on a zero-probability outcome past it. The step loop goes through
-    # memoryviews, which skips numpy's per-call dispatch.
+    # blocks filled on their first visit, held in two arrays rather than small arrays per
+    # block, which would leave a fragmented heap behind. Each cumulative row is divided by
+    # its last entry, so the last outcome of positive probability ends at exactly 1.0 and
+    # no uniform in [0, 1) can land on a zero-probability outcome past it. The step loop
+    # goes through memoryviews, which skips numpy's per-call dispatch.
     cum_rows = np.empty((n_states, n_out))
-    nxt_rows = np.empty((n_states, n_tail), dtype=np.int64)
-    filled = bytearray(n_states)
+    filled, rows = bytearray(n_states // n_x), None  # rows: a view of the block being filled
     with memoryview(cum_rows.reshape(-1)) as cum_mv, memoryview(nxt_rows.reshape(-1)) as nxt_mv, \
             memoryview(u) as u_mv, memoryview(states) as states_mv, memoryview(outcomes) as outcomes_mv:
         for t, u_t in enumerate(u_mv):
             states_mv[t] = state
-            if not filled[state]:
-                psi = np.unravel_index(state, state_dims)
-                cum = np.cumsum(_outcome_row(spec, probs, psi))
-                cum_rows[state] = cum / cum[-1]
-                nxt_rows[state] = next_row(psi)
-                filled[state] = 1
+            b = state // n_x
+            z = b % n_z
+            if not filled[b]:
+                wz, rows = np.unravel_index(b, block_dims), cum_rows[b * n_x : (b + 1) * n_x]
+                _outcome_block(spec, probs, wz, rows)
+                np.cumsum(rows, axis=1, out=rows)
+                rows /= rows[:, -1:].copy()  # dividing by the overlapping view copies the block
+                filled[b] = 1
             lo = state * n_out
             o = bisect_right(cum_mv, u_t, lo, lo + n_out) - lo
             outcomes_mv[t] = o
-            state = nxt_mv[state * n_tail + o % n_tail]
-    # the rows are the largest arrays here; free them before the window is decoded
-    del cum_rows, nxt_rows
+            state = nxt_mv[z * n_tail + o % n_tail]
+    # free the rows, the largest arrays here, and the last block's view before decoding
+    del cum_rows, rows, nxt_rows
 
     psi_window = np.unravel_index(states[burn_in:], state_dims)
     out_window = np.unravel_index(outcomes[burn_in:], out_dims)

@@ -1,13 +1,21 @@
 """Monte Carlo sampling, empirical frequencies, and exact-model comparison."""
 
+import math
 import string
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eee import empirical
-from eee.chain_analysis import build_joint_transition, consistent_model, strategy_arrays, uniform_strategy
+from eee.chain_analysis import (
+    build_joint_transition,
+    consistent_model,
+    place_factor,
+    strategy_arrays,
+    uniform_strategy,
+)
 from eee.empirical import (
     Trajectory,
     compare_models,
@@ -133,13 +141,73 @@ def oracle_cases():
     return cases
 
 
+def oracle_outcome_row(spec, probs, psi: tuple[int, ...]) -> np.ndarray:
+    """Outcome probabilities of the joint state psi = (w, z, x), in outcome order.
+
+    The per-state builder that empirical._outcome_block replaced, kept as the
+    bit-equality oracle. The environment row, shaped (A_1..A_n, 1.., W'), is
+    multiplied by one broadcast factor per agent, h_i[a_i, s_i, x'_i] =
+    (sigma_i[z_i, x_i, a_i] * M_i[w, s_i]) * L_i[a_i, x_i, s_i, x'_i], placed
+    on the agent's action, signal and next-local-state axes.
+    """
+    n = spec.n_agents
+    w, zs, xs = psi[0], psi[1 : 1 + n], psi[1 + n :]
+    row = spec.env_kernels[:, w, :].reshape(*spec.action_dims, *(1,) * (2 * n), spec.n_env)
+    for i, ag in enumerate(spec.agents):
+        h = (
+            probs[i][zs[i], xs[i], :, None, None]
+            * ag.signal_kernel[w, None, :, None]
+            * ag.local_kernels_4d[:, xs[i]]
+        )
+        row = row * place_factor(h, 3 * n + 1, (i, n + i, 2 * n + i))
+    return row.ravel()
+
+
+def block_size(spec) -> int:
+    """States per (w, z) block: the product of the local-state counts."""
+    return math.prod(ag.n_states for ag in spec.agents)
+
+
+def block_rows(spec, probs, block) -> np.ndarray:
+    """The outcome rows of the states of flat (w, z) block `block`, from the
+    simulator's builder, into a NaN-filled array so an unwritten entry shows."""
+    wz = np.unravel_index(block, spec.indexer().state_dims[: 1 + spec.n_agents])
+    out = np.full((block_size(spec), math.prod(outcome_dims(spec))), np.nan)
+    empirical._outcome_block(spec, probs, wz, out)
+    return out
+
+
+def outcome_row(spec, probs, state) -> np.ndarray:
+    """A flat joint state's outcome row, read from its block."""
+    return block_rows(spec, probs, state // block_size(spec))[state % block_size(spec)]
+
+
+def degenerate_axes_game():
+    """Three agents with a one-action, a one-memory and a one-local-state agent
+    among them (shapes as (Z, X, A, S))."""
+    spec = shaped_game(3, n_env=2, shapes=[(2, 2, 1, 2), (1, 2, 2, 3), (2, 1, 2, 2)])
+    return spec, random_strategy(np.random.default_rng(3), spec)
+
+
+@pytest.mark.parametrize("case", [*oracle_cases(), signal_only_game(13), degenerate_axes_game()],
+                         ids=[*(f"oracle-{k}" for k in range(len(oracle_cases()))), "13-agents", "degenerate"])
+def test_block_rows_equal_the_per_state_oracle_bit_for_bit(case):
+    spec, sigma = case
+    probs = strategy_arrays(sigma, spec)
+    state_dims, n_x = spec.indexer().state_dims, block_size(spec)
+    for block in range(spec.indexer().n_states // n_x):
+        rows = block_rows(spec, probs, block)
+        for k, row in enumerate(rows):
+            psi = np.unravel_index(block * n_x + k, state_dims)
+            assert np.array_equal(row, oracle_outcome_row(spec, probs, psi))
+
+
 def test_factored_rows_match_the_einsum_oracle():
     for spec, sigma in oracle_cases():
         probs = strategy_arrays(sigma, spec)
         table = oracle_outcome_table(spec, probs)
-        state_dims = spec.indexer().state_dims
         for psi in range(spec.indexer().n_states):
-            row = empirical._outcome_row(spec, probs, np.unravel_index(psi, state_dims))
+            row = outcome_row(spec, probs, psi)
             assert row.shape == table[psi].shape
             assert np.max(np.abs(row - table[psi])) <= 1e-15
 
@@ -159,7 +227,7 @@ def test_outcome_rows_summed_by_next_state_equal_the_kernel_rows():
             state = np.unravel_index(psi, state_dims)
             z_next = [ag.memory_rule[state[1 + i], signals[i]] for i, ag in enumerate(spec.agents)]
             nxt = np.ravel_multi_index((w_next, *z_next, *x_next), state_dims)
-            row = np.bincount(nxt, weights=empirical._outcome_row(spec, probs, state), minlength=matrix.shape[0])
+            row = np.bincount(nxt, weights=outcome_row(spec, probs, psi), minlength=matrix.shape[0])
             assert np.max(np.abs(row - matrix[psi])) <= 1e-15
 
 
@@ -182,7 +250,7 @@ def next_state(spec, state, o) -> int:
 
 def cumulative_row(spec, probs, state) -> np.ndarray:
     """A state's cumulative outcome row divided by its last entry, as sampled."""
-    cum = np.cumsum(empirical._outcome_row(spec, probs, np.unravel_index(state, spec.indexer().state_dims)))
+    cum = np.cumsum(outcome_row(spec, probs, state))
     return cum / cum[-1]
 
 
@@ -289,6 +357,116 @@ def test_three_agent_counts_are_pinned():
     assert traj.signal_counts[0].tolist() == [[[843, 808], [1086, 1063]]]
     assert traj.signal_counts[1].tolist() == [[[748, 430], [458, 264]], [[782, 432], [427, 259]]]
     assert traj.signal_counts[2].tolist() == [[[449, 413], [545, 493]], [[466, 421], [557, 456]]]
+
+
+def n1458_shaped_game():
+    """The shape of the benchmark's largest rung: 2 environment states and 3 agents
+    with (Z, X, A, S) = (3, 3, 2, 2), so 1458 joint states in 54 blocks of 27."""
+    spec = shaped_game(58, n_env=2, shapes=[(3, 3, 2, 2)] * 3)
+    return spec, random_strategy(np.random.default_rng(58), spec)
+
+
+def test_n1458_shaped_counts_are_pinned():
+    # horizon 5000, seed 7, burn-in 200: 27-state blocks, 1394 distinct states
+    # visited. Recorded with the per-state row builder; a change here changes the stream
+    spec, sigma = n1458_shaped_game()
+    traj = simulate(spec, sigma, horizon=5000, seed=7, burn_in=200)
+    assert len(np.unique(traj.states)) == 1394
+    assert traj.signal_counts[0].tolist() == [
+        [[257, 304], [245, 288], [226, 280]], [[227, 286], [244, 310], [244, 289]], [[282, 274], [229, 292], [224, 299]]
+    ]
+    assert traj.signal_counts[1].tolist() == [
+        [[294, 300], [292, 290], [236, 213]], [[276, 276], [312, 274], [211, 238]], [[283, 266], [312, 260], [227, 240]]
+    ]
+    assert traj.signal_counts[2].tolist() == [
+        [[284, 201], [391, 268], [294, 211]], [[277, 195], [401, 270], [246, 187]], [[319, 184], [383, 248], [266, 175]]
+    ]
+
+
+def spy_on_blocks(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the (w, z) of every block the simulator builds."""
+    built, original = [], empirical._outcome_block
+
+    def spy(spec, probs, wz, out):
+        built.append(tuple(int(v) for v in wz))
+        original(spec, probs, wz, out)
+
+    monkeypatch.setattr(empirical, "_outcome_block", spy)
+    return built
+
+
+def test_blocks_are_built_on_first_visit_only(monkeypatch):
+    spec, sigma = n1458_shaped_game()
+    block_dims = spec.indexer().state_dims[: 1 + spec.n_agents]
+    built = spy_on_blocks(monkeypatch)
+    traj = simulate(spec, sigma, horizon=1, burn_in=0, seed=7)
+    assert built == [np.unravel_index(traj.states[0] // 27, block_dims)]
+
+    built.clear()
+    traj = simulate(spec, sigma, horizon=40, burn_in=0, seed=7)
+    visited = list(dict.fromkeys((traj.states // 27).tolist()))
+    assert built == [tuple(int(v) for v in np.unravel_index(b, block_dims)) for b in visited]
+    assert len(built) < 54
+
+
+def test_the_byte_check_charges_the_rows_and_the_successor_table(ex1_spec, monkeypatch):
+    # ex1: 64 joint states, 4 joint memories, 4 joint actions; an outcome tail of
+    # 2*2 signals, 2*2 next local states and 4 next environments. The per-state
+    # successor table of 64 rows is gone; the table has one row per joint memory
+    charged = []
+    monkeypatch.setattr(empirical, "require_bytes", lambda nbytes, what: charged.append(nbytes))
+    simulate(ex1_spec, sigma_star(ex1_spec), horizon=10, seed=0, burn_in=0)
+    n_tail = 4 * 4 * 4
+    assert charged == [8 * 64 * 4 * n_tail + 8 * 4 * n_tail]
+
+
+def test_rows_are_freed_before_the_window_is_decoded():
+    # the decoded window (one int64 array per state and outcome axis, 17 here)
+    # must not stack on top of the outcome rows; a view of the last block kept
+    # alive would hold all of them
+    spec, sigma = n1458_shaped_game()
+    horizon, rows_bytes = 20_000, 8 * 1458 * 3456
+    tracemalloc.start()
+    try:
+        simulate(spec, sigma, horizon=horizon, seed=7, burn_in=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows_bytes + 3 * 8 * horizon + 2**20
+
+
+def permuted_game(spec, sigma, perm):
+    """The same game with agent perm[j] as agent j."""
+    n = spec.n_agents
+    env = spec.env_kernels.reshape(*spec.action_dims, spec.n_env, spec.n_env)
+    env = env.transpose(*perm, n, n + 1).reshape(spec.env_kernels.shape)
+    permuted = GameSpec(n_env=spec.n_env, env_kernels=env, agents=tuple(spec.agents[p] for p in perm))
+    return permuted, [sigma[p] for p in perm]
+
+
+@pytest.mark.parametrize("perm", [(1, 0, 2), (2, 0, 1)])
+def test_permuting_the_agents_permutes_the_model_and_the_block_rows(perm):
+    n = 3
+    # outcome-row axes: x, a, s and x' per agent, then w'
+    axes = [k * n + perm[j] for k in range(4) for j in range(n)] + [4 * n]
+    for seed in range(10):
+        spec = random_game(60 + seed, n_agents=n, max_dim=2)
+        sigma = random_strategy(np.random.default_rng(seed), spec)
+        p_spec, p_sigma = permuted_game(spec, sigma, perm)
+        mu, p_mu = consistent_model(spec, sigma).mu, consistent_model(p_spec, p_sigma).mu
+        for j in range(n):
+            assert np.max(np.abs(p_mu[j] - mu[perm[j]])) <= 1e-12
+
+        probs, p_probs = strategy_arrays(sigma, spec), strategy_arrays(p_sigma, p_spec)
+        block_dims, p_block_dims = spec.indexer().state_dims[: 1 + n], p_spec.indexer().state_dims[: 1 + n]
+        local_dims = tuple(ag.n_states for ag in spec.agents)
+        row_dims = (*local_dims, *spec.action_dims, *(ag.n_signals for ag in spec.agents), *local_dims, spec.n_env)
+        for block in range(math.prod(block_dims)):
+            w, *z = np.unravel_index(block, block_dims)
+            p_block = np.ravel_multi_index((w, *(z[p] for p in perm)), p_block_dims)
+            expected = block_rows(spec, probs, block).reshape(row_dims).transpose(axes)
+            got = block_rows(p_spec, p_probs, p_block).reshape(expected.shape)
+            assert np.max(np.abs(got - expected)) <= 1e-15
 
 
 def test_largest_uniform_never_lands_on_a_zero_probability_outcome(ex1_spec, monkeypatch):
