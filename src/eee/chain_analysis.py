@@ -3,8 +3,8 @@
 Builds the dense one-step transition matrix over joint states, solves for the
 stationary distribution, extracts each agent's conditional signal model, and
 computes the regularity diagnostics used by the coupling bounds: the group
-inverse condition number of the uncoupled reference chain, the minimal
-stationary mass per (z_i, x_i), and the largest signal probability.
+inverse condition number of the uncoupled reference chain and the minimal
+stationary mass per (z_i, x_i).
 """
 
 from __future__ import annotations
@@ -60,11 +60,10 @@ class ConsistentModel:
 
 @dataclass(frozen=True)
 class ChainDiagnostics:
-    """kappa from the uncoupled reference chain; per-agent mass and signal ceilings."""
+    """kappa from the uncoupled reference chain; per agent, the minimal stationary mass."""
 
     kappa: float
     minimal_mass: tuple[float, ...]
-    signal_ceiling: tuple[float, ...]
 
 
 def profile_arrays(arrays, spec: GameSpec, what: str = "strategy") -> tuple[np.ndarray, ...]:
@@ -403,29 +402,22 @@ def uniform_strategy(spec: GameSpec) -> tuple[np.ndarray, ...]:
     )
 
 
-def chain_diagnostics(spec: GameSpec, sigma, *, pi: np.ndarray | None = None) -> ChainDiagnostics:
-    """Regularity constants for the bound formulas.
+def reference_kappa(spec: GameSpec) -> float:
+    """kappa of the spec's uncoupled reference chain.
 
-    kappa is computed once on the uncoupled reference chain, which is
-    strategy-independent (a uniform profile is used for construction).
-    minimal_mass is per agent the smallest stationary (z_i, x_i) marginal
-    under the supplied strategy; signal_ceiling is the largest entry of the
-    signal kernel. A caller that already solved the coupled chain under
-    sigma passes its stationary vector as pi, which skips the rebuild.
+    No strategy moves that chain (it is built under the uniform profile), and
+    interpolate keeps the references, so it is the same at every blend weight.
     """
     ref = uncoupled_reference(spec)
-    T_ref = build_joint_transition(ref, uniform_strategy(ref))
-    kappa = meyer_condition_number(T_ref)
+    return meyer_condition_number(build_joint_transition(ref, uniform_strategy(ref)))
 
-    if pi is None:
-        pi = stationary_distribution(build_joint_transition(spec, sigma)).pi
+
+def chain_diagnostics(spec: GameSpec, pi: np.ndarray, kappa: float) -> ChainDiagnostics:
+    """Regularity constants for the bound formulas: kappa, as reference_kappa
+    gives it, and per agent the smallest stationary (z_i, x_i) marginal of
+    pi, the stationary vector of the coupled chain that the caller solved."""
     tensor = pi.reshape(spec.indexer().state_dims)
-    masses = []
-    ceilings = []
-    for i, ag in enumerate(spec.agents):
-        wzx = _agent_marginal(tensor, spec.n_agents, i)
-        masses.append(float(wzx.sum(axis=0).min()))
-        ceilings.append(float(ag.signal_kernel.max()))
-    return ChainDiagnostics(
-        kappa=kappa, minimal_mass=tuple(masses), signal_ceiling=tuple(ceilings)
+    masses = tuple(
+        float(_agent_marginal(tensor, spec.n_agents, i).sum(axis=0).min()) for i in range(spec.n_agents)
     )
+    return ChainDiagnostics(kappa=kappa, minimal_mass=masses)

@@ -156,10 +156,8 @@ def cmd_run(args) -> int:
     learning.require_max_iter(args.max_iter)
     if args.alpha is not None:
         game_model.require_alpha(args.alpha)
-    spec = _load_spec(args.spec, args.alpha)
-    rule = learning.PolicyRule(args.policy, tau=args.tau)
-    if rule.kind == "softmax":
-        rule.resolve_tau(spec)
+    spec = game_model.with_temperatures(_load_spec(args.spec, args.alpha), args.tau)
+    rule = learning.PolicyRule(args.policy)
     chain_analysis.require_dense_chain(spec)
     out = _output_dir(args.out, "run")
     log.info("running %s policy on %s (alpha=%s)", args.policy, args.spec, args.alpha)
@@ -186,7 +184,7 @@ def cmd_run(args) -> int:
             "spec_path": args.spec,
             "alpha": args.alpha,
             "policy": args.policy,
-            "tau": rule.tau,
+            "tau": args.tau,
             "tol": args.tol,
             "max_iter": args.max_iter,
             "output_dir": str(out),
@@ -210,6 +208,7 @@ def cmd_sweep(args) -> int:
     alphas = sorted(args.alphas)
     out = _output_dir(args.out, "sweep")
     rows = []
+    kappa = None  # the reference chain, so kappa, is the same at every alpha
     for alpha in alphas:
         row = {"alpha": alpha, "outcome": "", "steps": "", "final_q_norm": "",
                "lambda": "", "rho": "", "error": ""}
@@ -219,12 +218,16 @@ def cmd_sweep(args) -> int:
             row["lambda"] = repr(coupling.lam)
             learning.require_tol(args.tol)  # checked in run's order: tol, max_iter, then tau
             learning.require_max_iter(args.max_iter)
-            rule = learning.PolicyRule(args.policy, tau=args.tau)
-            trace, report = learning.q_value_iteration(spec, rule, tol=args.tol, max_iter=args.max_iter)
+            spec = game_model.with_temperatures(spec, args.tau)
+            trace, report = learning.q_value_iteration(
+                spec, learning.PolicyRule(args.policy), tol=args.tol, max_iter=args.max_iter)
             row["outcome"] = report.outcome
             row["steps"] = report.period if report.outcome == "cycle" else report.at_iter
             row["final_q_norm"] = repr(trace.final_q.max_norm())
-            diagnostics = chain_analysis.chain_diagnostics(spec, trace.final_sigma)
+            kappa = chain_analysis.reference_kappa(spec) if kappa is None else kappa
+            pi = chain_analysis.stationary_distribution(
+                chain_analysis.build_joint_transition(spec, trace.final_sigma)).pi
+            diagnostics = chain_analysis.chain_diagnostics(spec, pi, kappa)
             row["rho"] = repr(coupling_bounds.contraction_factor(spec, diagnostics, coupling))
         except (SpecError, ParseError, StationaryError, VanishingMassError, OSError) as exc:
             row["error"] = str(exc)
@@ -246,10 +249,9 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args.spec, args.alpha)
     sigma = _load_profile(args.sigma, "sigma")
     mu = _load_profile(args.mu, "mu")
+    spec = game_model.with_temperatures(spec, args.tau)
     if args.approx:
-        report = learning.verify_approx_eee(
-            spec, sigma, mu, tau=args.tau, tol=args.tol
-        )
+        report = learning.verify_approx_eee(spec, sigma, mu, tol=args.tol)
         kind = "approximate equilibrium"
     else:
         report = learning.verify_eee(spec, sigma, mu, tol=args.tol)
@@ -279,18 +281,8 @@ def cmd_bounds(args) -> int:
     out = _output_dir(args.out, "bounds")
 
     xi = None
-    pi = None
     if args.sigma:
         sigma_source = "supplied"
-        if sigma.is_deterministic():
-            # one solve of the coupled chain serves both the model and the diagnostics;
-            # diag_spec differs from spec only in its uncoupled references. The matrix
-            # is dropped here so it does not add to the peak memory of kappa.
-            pi = chain_analysis.stationary_distribution(
-                chain_analysis.build_joint_transition(spec, sigma)).pi
-            mu = chain_analysis.model_from_stationary(spec, pi)
-            q_fixed = learning.solve_q_fixed_point(spec, mu)
-            xi = learning.margin(q_fixed, sigma)
     else:
         trace, report = learning.q_value_iteration(
             spec, learning.PolicyRule("greedy"), tol=args.tol, max_iter=args.max_iter
@@ -298,7 +290,14 @@ def cmd_bounds(args) -> int:
         sigma = trace.final_sigma
         sigma_source = f"greedy-run-{report.outcome}"
         xi = learning.margin(trace.final_q, sigma)
-    diagnostics = chain_analysis.chain_diagnostics(diag_spec, sigma, pi=pi)
+    # one solve of the coupled chain serves both the model and the diagnostics. The
+    # matrix is dropped here so it does not add to the peak memory of kappa.
+    pi = chain_analysis.stationary_distribution(chain_analysis.build_joint_transition(spec, sigma)).pi
+    if args.sigma and sigma.is_deterministic():
+        q_fixed = learning.solve_q_fixed_point(spec, chain_analysis.model_from_stationary(spec, pi))
+        xi = learning.margin(q_fixed, sigma)
+    # diag_spec differs from spec only in its uncoupled references
+    diagnostics = chain_analysis.chain_diagnostics(spec, pi, chain_analysis.reference_kappa(diag_spec))
     bounds = coupling_bounds.compute_bounds(spec, diagnostics, coupling, xi=xi)
     doc = {
         "coupling": {k: bounds.inputs[k] for k in ("eps_phi", "eps_varphi", "lambda", "reference_source")},

@@ -115,7 +115,8 @@ def _others_product(spec: GameSpec, i: int, attr: str) -> int:
 
 
 def perturbation_coefficient(spec: GameSpec, diagnostics: ChainDiagnostics) -> tuple[float, ...]:
-    """Per agent: (1 + p_max) kappa |W| |Z_others| |X_others| A_total / m_i.
+    """Per agent: (1 + p_max) kappa |W| |Z_others| |X_others| A_total / m_i,
+    with p_max the agent's signal ceiling.
 
     The shared prefactor of the model-gap, margin, and contraction formulas;
     multiplied by a strategy distance and lambda it bounds the consistent
@@ -130,7 +131,7 @@ def perturbation_coefficient(spec: GameSpec, diagnostics: ChainDiagnostics) -> t
         z_others = _others_product(spec, i, "n_memory")
         x_others = _others_product(spec, i, "n_states")
         out.append(
-            (1.0 + diagnostics.signal_ceiling[i])
+            (1.0 + ag.signal_ceiling)
             * diagnostics.kappa
             * spec.n_env
             * z_others
@@ -230,7 +231,7 @@ def compute_bounds(
     inputs = {
         "kappa": diagnostics.kappa,
         "minimal_mass": list(diagnostics.minimal_mass),
-        "signal_ceiling": list(diagnostics.signal_ceiling),
+        "signal_ceiling": [ag.signal_ceiling for ag in spec.agents],
         "reward_ceiling": [ag.reward_ceiling for ag in spec.agents],
         "total_actions": sum(ag.n_actions for ag in spec.agents),
         "n_env": spec.n_env,

@@ -118,9 +118,10 @@ def simulate(
     n_states, n_z, n_x = math.prod(state_dims), math.prod(block_dims[1:]), math.prod(state_dims[1 + n :])
     # outcomes: joint action (slowest), then the tail of signals, next local states and
     # next environment; the next state depends on z and the tail alone: nxt_rows[z, o % n_tail]
-    tail_dims = (*(ag.n_signals for ag in spec.agents), *(ag.n_states for ag in spec.agents), spec.n_env)
-    out_dims = (spec.n_joint_actions, *tail_dims)
-    n_tail, n_out, ndim = math.prod(tail_dims), math.prod(out_dims), n + len(tail_dims)
+    sig_dims = tuple(ag.n_signals for ag in spec.agents)
+    tail_dims = (*sig_dims, *(ag.n_states for ag in spec.agents), spec.n_env)
+    n_sig, n_tail, ndim = math.prod(sig_dims), math.prod(tail_dims), n + len(tail_dims)
+    n_out = spec.n_joint_actions * n_tail
     require_bytes(8 * n_states * n_out + 8 * n_z * n_tail,
                   f"the simulator's outcome rows for {n_states} joint states")
     # filled at once, as it is at most 1/(W n_x |A|) of the rows' bytes. On axes (z, tail): w'
@@ -162,16 +163,18 @@ def simulate(
             o = bisect_right(cum_mv, u_t, lo, lo + n_out) - lo
             outcomes_mv[t] = o
             state = nxt_mv[z * n_tail + o % n_tail]
-    # free the rows, the largest arrays here, and the last block's view before decoding
+    # free the rows, the largest arrays here, and the last block's view before counting
     del cum_rows, rows, nxt_rows
 
-    psi_window = np.unravel_index(states[burn_in:], state_dims)
-    out_window = np.unravel_index(outcomes[burn_in:], out_dims)
-    counts = []
-    for i, ag in enumerate(spec.agents):
-        cell_dims = (ag.n_memory, ag.n_states, ag.n_signals)
-        flat = np.ravel_multi_index((psi_window[1 + i], psi_window[1 + n + i], out_window[1 + i]), cell_dims)
-        counts.append(np.bincount(flat, minlength=int(np.prod(cell_dims))).reshape(cell_dims))
+    # one count per (joint state, joint signal) of the window; the joint signal leads the
+    # outcome's tail, ahead of the n_x next local states and the next environment
+    sig = outcomes[burn_in:] % n_tail
+    key = states[burn_in:] * n_sig
+    key += np.floor_divide(sig, n_x * spec.n_env, out=sig)
+    joint = np.bincount(key, minlength=n_states * n_sig).reshape(*state_dims, *sig_dims)
+    # agent i's cells (z_i, x_i, s_i) sum the rest
+    counts = [joint.sum(axis=tuple(ax for ax in range(joint.ndim) if ax not in (1 + i, 1 + n + i, 1 + 2 * n + i)))
+              for i in range(n)]
 
     return Trajectory(
         seed=seed,

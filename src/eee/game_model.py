@@ -79,6 +79,11 @@ class AgentSpec:
         """Largest absolute stage reward."""
         return float(np.max(np.abs(self.reward)))
 
+    @property
+    def signal_ceiling(self) -> float:
+        """Largest signal probability."""
+        return float(self.signal_kernel.max())
+
 
 @dataclass(frozen=True)
 class GameSpec:
@@ -278,6 +283,22 @@ def require_alpha(alpha: float) -> None:
     """A blend weight must lie in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise SpecError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def with_temperatures(spec: GameSpec, tau) -> GameSpec:
+    """spec with each agent's softmax temperature replaced from tau: one
+    positive value per agent, or one standing for every agent. None keeps
+    the spec's own."""
+    if tau is None:
+        return spec
+    taus = tuple(float(t) for t in np.atleast_1d(tau))
+    if not all(t > 0 for t in taus):  # a NaN too
+        raise SpecError("softmax temperatures must be positive")
+    if len(taus) == 1:
+        taus *= spec.n_agents
+    if len(taus) != spec.n_agents:
+        raise SpecError(f"expected {spec.n_agents} temperatures, got {len(taus)}")
+    return replace(spec, agents=tuple(replace(ag, temperature=t) for ag, t in zip(spec.agents, taus)))
 
 
 def interpolate(family: ConvexFamily, alpha: float) -> GameSpec:

@@ -67,32 +67,13 @@ class Strategy:
 
 @dataclass(frozen=True)
 class PolicyRule:
+    """greedy or softmax; softmax runs at the spec's agent temperatures."""
+
     kind: str
-    tau: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("greedy", "softmax"):
             raise SpecError(f"policy rule must be 'greedy' or 'softmax', got {self.kind!r}")
-        if self.tau is not None:
-            object.__setattr__(self, "tau", _temperatures(self.tau))
-
-    def resolve_tau(self, spec: GameSpec) -> tuple[float, ...]:
-        if self.tau is None:
-            return tuple(ag.temperature for ag in spec.agents)
-        return _temperatures(self.tau, spec.n_agents)
-
-
-def _temperatures(tau, n_agents: int | None = None) -> tuple[float, ...]:
-    """tau, one value or a sequence, as a tuple of positive floats; given
-    n_agents, one per agent, a single value standing for every agent."""
-    taus = tuple(float(t) for t in np.atleast_1d(tau))
-    if any(t <= 0 for t in taus):
-        raise SpecError("softmax temperatures must be positive")
-    if n_agents is None or len(taus) == n_agents:
-        return taus
-    if len(taus) == 1:
-        return taus * n_agents
-    raise SpecError(f"expected {n_agents} temperatures, got {len(taus)}")
 
 
 @dataclass
@@ -253,7 +234,7 @@ def softmax_policy(q, tau) -> Strategy:
     one temperature stands for every agent."""
     tables = q_arrays(q)
     probs = []
-    for t, ti in zip(tables, _temperatures(tau, len(tables))):
+    for t, ti in zip(tables, np.broadcast_to(tau, len(tables)).tolist()):
         shifted = (t - t.max(axis=-1, keepdims=True)) / ti
         e = np.exp(shifted)
         probs.append(e / e.sum(axis=-1, keepdims=True))
@@ -342,7 +323,7 @@ def q_value_iteration(
     if rule.kind == "greedy":
         policy = greedy_policy
     else:
-        policy = functools.partial(softmax_policy, tau=rule.resolve_tau(spec))
+        policy = functools.partial(softmax_policy, tau=[ag.temperature for ag in spec.agents])
     trace = IterationTrace(rule=rule)
     detector = CycleDetector(rule.kind, tol)
     models: dict[tuple[bytes, ...], ConsistentModel] = {}
@@ -578,15 +559,13 @@ def verify_eee(spec: GameSpec, sigma, mu, tol: float = 1e-8) -> VerificationRepo
     return _verification_report(spec, strat, mu, tol, optimality, lambda q_fixed: strat)
 
 
-def verify_approx_eee(
-    spec: GameSpec, sigma, mu, tau=None, tol: float = 1e-8
-) -> VerificationReport:
-    """Like verify_eee but optimality compares the strategy to the softmax policy."""
+def verify_approx_eee(spec: GameSpec, sigma, mu, tol: float = 1e-8) -> VerificationReport:
+    """Like verify_eee but optimality compares the strategy to the softmax
+    policy at the spec's agent temperatures."""
     strat = Strategy(probs=strategy_arrays(sigma, spec))
-    taus = PolicyRule("softmax", tau=tau).resolve_tau(spec)
     return _verification_report(
         spec, strat, mu, tol,
-        lambda q_fixed: max_metric_strategy(strat, softmax_policy(q_fixed, taus)),
+        lambda q_fixed: max_metric_strategy(strat, softmax_policy(q_fixed, [ag.temperature for ag in spec.agents])),
         greedy_policy,
     )
 

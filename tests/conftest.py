@@ -9,7 +9,14 @@ import string
 import numpy as np
 import pytest
 
-from eee.chain_analysis import agent_step_factors, stationary_distribution, strategy_arrays
+from eee.chain_analysis import (
+    agent_step_factors,
+    build_joint_transition,
+    chain_diagnostics,
+    reference_kappa,
+    stationary_distribution,
+    strategy_arrays,
+)
 from eee.game_model import AgentSpec, GameSpec, SpecError, build_example1
 from eee.learning import STALL_RATE
 
@@ -112,6 +119,14 @@ def shaped_game(seed, n_env, shapes, coupling=0.2):
     return GameSpec(n_env=n_env, env_kernels=env, agents=tuple(agents), uncoupled_env=env_u)
 
 
+def permuted_game(spec, perm):
+    """The same game with agent perm[j] as agent j; the references are dropped."""
+    n = spec.n_agents
+    env = spec.env_kernels.reshape(*spec.action_dims, spec.n_env, spec.n_env)
+    env = env.transpose(*perm, n, n + 1).reshape(spec.env_kernels.shape)
+    return GameSpec(n_env=spec.n_env, env_kernels=env, agents=tuple(spec.agents[p] for p in perm))
+
+
 def random_strategy(rng, spec, deterministic=False):
     out = []
     for ag in spec.agents:
@@ -157,6 +172,13 @@ def signal_only_game(n_agents):
     return spec, [np.ones((1, 1, 1))] * n_agents
 
 
+def diagnostics_at(spec, sigma):
+    """chain_diagnostics under sigma: one solve of the coupled chain and the
+    spec's reference kappa, as `eee bounds` computes them."""
+    pi = stationary_distribution(build_joint_transition(spec, sigma)).pi
+    return chain_diagnostics(spec, pi, reference_kappa(spec))
+
+
 def oracle_joint_matrix(spec, sigma) -> np.ndarray:
     """The joint transition matrix from one generated einsum per joint action.
 
@@ -192,6 +214,25 @@ def oracle_joint_matrix(spec, sigma) -> np.ndarray:
             operands.append(factors[i][ai])
         big += np.einsum(expr, *operands, optimize=True)
     return big.reshape(n, n)
+
+
+def oracle_gth_stationary(mat) -> np.ndarray:
+    """The stationary vector of an ergodic chain by GTH elimination (Grassmann,
+    Taksar & Heyman, Operations Research 1985).
+
+    State k is censored out, last first: its exits to lower states become the
+    pivot, and its entries are folded into the paths between lower states.
+    No step subtracts, so there is no cancellation; a reducible chain stops on
+    a zero pivot. Kept as the oracle of chain_analysis.stationary_distribution.
+    """
+    a = np.array(mat, dtype=float)
+    for k in range(len(a) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(len(a))
+    for k in range(1, len(a)):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
 
 
 def oracle_meyer_condition_number(mat) -> float:

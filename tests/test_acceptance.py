@@ -12,7 +12,6 @@ from eee import (
     AgentSpec,
     GameSpec,
     PolicyRule,
-    chain_diagnostics,
     compare_models,
     consistent_model,
     contraction_factor,
@@ -30,10 +29,11 @@ from eee import (
     uniform_strategy,
     validate_spec,
     verify_approx_eee,
+    with_temperatures,
 )
 from eee.coupling_bounds import row_sum_norm
 
-from conftest import random_game, random_strategy, row_stochastic, sigma_star
+from conftest import diagnostics_at, random_game, random_strategy, row_stochastic, sigma_star
 
 ROUNDED_MODEL = {0: ((0.67, 0.33), (0.54, 0.46)), 1: ((0.64, 0.36), (0.55, 0.45))}
 
@@ -118,7 +118,7 @@ def test_criterion_02_converged_model_matches_known_frequencies(ex1_greedy_run):
 def test_criterion_03_full_coupling_breaks_both_policies(ex1_family):
     spec = ex1_family.at(1.0)
     _, greedy = q_value_iteration(spec, PolicyRule("greedy"), tol=1e-9, max_iter=200)
-    _, soft = q_value_iteration(spec, PolicyRule("softmax", tau=1.0), tol=1e-9, max_iter=200)
+    _, soft = q_value_iteration(with_temperatures(spec, 1.0), PolicyRule("softmax"), tol=1e-9, max_iter=200)
     _report("criterion 03 full coupling failure modes", {
         "greedy cycles": greedy.outcome == "cycle",
         "greedy period at least 2": (greedy.period or 0) >= 2,
@@ -128,8 +128,9 @@ def test_criterion_03_full_coupling_breaks_both_policies(ex1_family):
 
 
 def test_criterion_04_softmax_fixed_point_verifies(ex1_spec):
-    trace, report = q_value_iteration(ex1_spec, PolicyRule("softmax", tau=1.0), tol=1e-9)
-    check = verify_approx_eee(ex1_spec, trace.final_sigma, trace.final_mu, tau=1.0, tol=1e-6)
+    spec = with_temperatures(ex1_spec, 1.0)
+    trace, report = q_value_iteration(spec, PolicyRule("softmax"), tol=1e-9)
+    check = verify_approx_eee(spec, trace.final_sigma, trace.final_mu, tol=1e-6)
     _report("criterion 04 softmax equilibrium verification", {
         "converged": report.outcome == "converged",
         "optimality residual below 1e-6": check.optimality_residual < 1e-6,
@@ -164,7 +165,7 @@ def test_criterion_06_model_gap_bound_under_strategy_changes():
         rng = np.random.default_rng(seed + 2000)
         sigma = random_strategy(rng, spec)
         sigma_bar = random_strategy(rng, spec)
-        diagnostics = chain_diagnostics(spec, sigma)
+        diagnostics = diagnostics_at(spec, sigma)
         bound = model_perturbation_bound(
             spec, diagnostics, max_metric_strategy(sigma, sigma_bar)
         )
@@ -201,7 +202,7 @@ def test_criterion_07_stationary_sensitivity_bound():
 def test_criterion_08_certified_contraction_rate():
     spec = _low_coupling_contraction_game()
     rho = contraction_factor(
-        spec, chain_diagnostics(spec, uniform_strategy(spec)), coupling_value(spec)
+        spec, diagnostics_at(spec, uniform_strategy(spec)), coupling_value(spec)
     )
     ref_trace, ref_report = q_value_iteration(spec, PolicyRule("softmax"), tol=1e-12, max_iter=10**5)
     q_fixed = ref_trace.final_q

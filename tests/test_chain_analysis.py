@@ -19,6 +19,7 @@ from eee.chain_analysis import (
     chain_diagnostics,
     consistent_model,
     meyer_condition_number,
+    reference_kappa,
     stationary_distribution,
     uncoupled_reference,
     uniform_strategy,
@@ -26,6 +27,8 @@ from eee.chain_analysis import (
 from eee.game_model import AgentSpec, GameSpec, SpecError
 
 from conftest import (
+    diagnostics_at,
+    oracle_gth_stationary,
     oracle_joint_matrix,
     oracle_meyer_condition_number,
     random_game,
@@ -325,6 +328,24 @@ def test_zero_coupling_model_is_strategy_independent():
         assert np.allclose(ma, mb, atol=1e-12)
 
 
+def test_stationary_solve_agrees_with_gth_elimination(ex1_spec):
+    # mixed strategies over strictly positive kernels and recurrent memory rules:
+    # every chain here is ergodic, so GTH meets no zero pivot
+    cases = [(ex1_spec, sigma_star(ex1_spec))]
+    games = [random_game(seed, max_dim=3) for seed in range(12)]
+    games.append(shaped_game(3, 4, [(2, 4, 2, 2), (2, 4, 2, 2)]))  # 256 joint states
+    for seed, spec in enumerate(games):
+        cases.append((spec, random_strategy(np.random.default_rng(seed), spec)))
+    start, sizes = time.perf_counter(), []
+    for spec, sigma in cases:
+        T = build_joint_transition(spec, sigma).matrix
+        want = oracle_gth_stationary(T)
+        assert np.max(np.abs(stationary_distribution(T).pi - want) / want) <= 1e-12
+        sizes.append(len(T))
+    assert max(sizes) == 256
+    assert time.perf_counter() - start < 1.0
+
+
 def test_meyer_constant_of_symmetric_two_state_chain():
     # group inverse of the 0.5 chain has entries +-0.25, hand-inverted
     kappa = meyer_condition_number(np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -374,8 +395,8 @@ def test_meyer_rejects_reducible_chain():
 
 
 def test_example_diagnostics(ex1_spec):
-    diag = chain_diagnostics(ex1_spec, sigma_star(ex1_spec))
-    assert diag.signal_ceiling == (0.98, 0.93)
+    diag = diagnostics_at(ex1_spec, sigma_star(ex1_spec))
+    assert tuple(ag.signal_ceiling for ag in ex1_spec.agents) == (0.98, 0.93)
     assert diag.kappa > 0.0
     assert all(m > 0.0 for m in diag.minimal_mass)
 
@@ -388,7 +409,16 @@ def test_diagnostics_with_supplied_pi_match_a_fresh_solve(ex1_spec):
         cases.append((spec, random_strategy(rng, spec, deterministic=seed % 2 == 0)))
     for spec, sigma in cases:
         pi = stationary_distribution(build_joint_transition(spec, sigma)).pi
-        assert chain_diagnostics(spec, sigma, pi=pi) == chain_diagnostics(spec, sigma)
+        diag = chain_diagnostics(spec, pi, 2.5)
+        assert diag.kappa == 2.5
+        # oracle: each (z_i, x_i) mass summed state by state over the joint index
+        dims = spec.indexer().state_dims
+        for i, ag in enumerate(spec.agents):
+            mass = np.zeros((ag.n_memory, ag.n_states))
+            for k, p in enumerate(pi):
+                psi = np.unravel_index(k, dims)
+                mass[psi[1 + i], psi[1 + spec.n_agents + i]] += p
+            assert diag.minimal_mass[i] == pytest.approx(mass.min(), rel=1e-12)
 
 
 def test_uniform_game_minimal_mass():
@@ -406,7 +436,7 @@ def test_uniform_game_minimal_mass():
         ))
     spec = GameSpec(n_env=3, env_kernels=np.full((4, 3, 3), 1 / 3),
                     agents=tuple(agents), uncoupled_env=np.full((3, 3), 1 / 3))
-    diag = chain_diagnostics(spec, uniform_strategy(spec))
+    diag = diagnostics_at(spec, uniform_strategy(spec))
     assert np.allclose(diag.minimal_mass, 1.0 / (2 * 2), atol=1e-12)
 
 
@@ -416,4 +446,4 @@ def test_diagnostics_require_uncoupled_reference():
                         agents=tuple(dataclasses.replace(a, uncoupled_local=None)
                                      for a in spec.agents))
     with pytest.raises(SpecError, match="uncoupled reference"):
-        chain_diagnostics(stripped, uniform_strategy(stripped))
+        reference_kappa(stripped)

@@ -13,11 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eee import chain_analysis, cli, learning
+from eee import chain_analysis, cli, coupling_bounds, learning
 from eee.cli import _atomic_write, _load_spec, _sanitize, _trace_csv, main
-from eee.game_model import AgentSpec, GameSpec, build_example1, example1_path, game_to_jsonable, save_game
+from eee.game_model import (
+    AgentSpec, GameSpec, build_example1, example1_path, game_to_jsonable, save_game, with_temperatures,
+)
 
-from conftest import oracle_trace_csv, random_game, sigma_star, signal_only_game
+from conftest import diagnostics_at, oracle_trace_csv, random_game, sigma_star, signal_only_game
 
 SPEC = str(example1_path())
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -166,7 +168,8 @@ def test_run_takes_one_temperature_per_agent(tmp_path):
                  "--out", str(out)]) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["tau"] == [1.0, 0.5]
-    trace, report = learning.q_value_iteration(_load_spec(SPEC, 0.9), learning.PolicyRule("softmax", tau=(1.0, 0.5)))
+    trace, report = learning.q_value_iteration(with_temperatures(_load_spec(SPEC, 0.9), (1.0, 0.5)),
+                                                learning.PolicyRule("softmax"))
     assert summary["outcome"] == report.outcome == "cycle"
     assert summary["at_iter"] == report.at_iter
     assert summary["sigma"] == [p.tolist() for p in trace.final_sigma.probs]
@@ -202,6 +205,45 @@ def test_sweep_records_an_error_row_and_goes_on(tmp_path):
     assert ok["outcome"] == "converged" and ok["error"] == ""
     assert bad == {"alpha": "1.5", "outcome": "", "steps": "", "final_q_norm": "", "lambda": "", "rho": "",
                    "error": "alpha must lie in [0, 1], got 1.5"}
+
+
+def test_sweep_computes_kappa_once_per_command(tmp_path, monkeypatch):
+    calls = []
+    real = chain_analysis.meyer_condition_number
+    monkeypatch.setattr(chain_analysis, "meyer_condition_number", lambda T: calls.append(T) or real(T))
+    assert main(["sweep", SPEC, "--alphas", "0.0", "0.9", "1.0", "--out", str(tmp_path / "sw")]) == 0
+    assert len(calls) == 1
+
+
+def test_sweep_rho_is_the_contraction_factor_at_the_given_temperatures(tmp_path):
+    out = tmp_path / "sw"
+    assert main(["sweep", SPEC, "--alphas", "0.9", "1.0", "--policy", "softmax", "--tau", "0.5", "0.25",
+                 "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        spec = with_temperatures(_load_spec(SPEC, float(row["alpha"])), (0.5, 0.25))
+        trace, _ = learning.q_value_iteration(spec, learning.PolicyRule("softmax"))
+        diagnostics = diagnostics_at(spec, trace.final_sigma)
+        assert row["rho"] == repr(coupling_bounds.contraction_factor(spec, diagnostics, coupling_bounds.coupling_value(spec)))
+
+
+def test_sweep_with_a_wrong_temperature_count_records_error_rows(tmp_path):
+    out = tmp_path / "sw"
+    assert main(["sweep", SPEC, "--alphas", "0.0", "0.9", "--tau", "1", "2", "3", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] for r in rows] == ["expected 2 temperatures, got 3"] * 2
+    assert all(r["outcome"] == "" and r["lambda"] != "" for r in rows)
+
+
+def test_verify_rejects_a_wrong_temperature_count(tmp_path, capsys):
+    sigma = write_json(tmp_path / "sigma.json", SIGMA_STAR)
+    mu = write_json(tmp_path / "mu.json", MU_ROUNDED)
+    for approx in ([], ["--approx"]):
+        assert main(["verify", SPEC, "--alpha", "0.9", "--sigma", sigma, "--mu", mu,
+                     "--tau", "1", "2", "3", *approx]) == 1
+        assert "error: expected 2 temperatures, got 3" in capsys.readouterr().err
 
 
 def test_verify_accepts_the_rounded_profile(tmp_path, capsys):
@@ -312,17 +354,17 @@ def test_bounds_with_a_fixed_strategy_builds_each_chain_once(tmp_path, monkeypat
     sigma = write_json(tmp_path / "sigma.json", SIGMA_STAR)
     out = tmp_path / "b"
     assert main(["bounds", SPEC, "--alpha", "0.9", "--sigma", sigma, "--out", str(out)]) == 0
-    assert len(built) == 2  # the uncoupled reference, then the coupled chain
+    assert len(built) == 2  # the coupled chain, then the uncoupled reference
     doc = json.loads((out / "bounds.json").read_text())
     monkeypatch.undo()
     # oracle: the two-solve path, diagnostics and margins compared exactly
     spec = _load_spec(SPEC, 0.9)
     star = learning.Strategy(probs=tuple(sigma_star(spec)))
-    fresh = chain_analysis.chain_diagnostics(spec, star)
+    fresh = diagnostics_at(spec, star)
     assert doc["diagnostics"] == {
         "kappa": fresh.kappa,
         "minimal_mass": list(fresh.minimal_mass),
-        "signal_ceiling": list(fresh.signal_ceiling),
+        "signal_ceiling": [ag.signal_ceiling for ag in spec.agents],
     }
     mu = chain_analysis.consistent_model(spec, star)
     xi = learning.margin(learning.solve_q_fixed_point(spec, mu), star)
@@ -339,7 +381,7 @@ def test_bounds_with_a_mixed_sigma_leaves_the_margin_condition_open(tmp_path):
     assert doc["sigma_source"] == "supplied"
     assert doc["margin_condition_holds"] is None
     assert doc["inputs"]["xi"] is None
-    assert doc["diagnostics"]["minimal_mass"] == list(chain_analysis.chain_diagnostics(spec, uniform).minimal_mass)
+    assert doc["diagnostics"]["minimal_mass"] == list(diagnostics_at(spec, uniform).minimal_mass)
 
 
 def test_bounds_needs_references_unless_told_otherwise(tmp_path, capsys):
@@ -388,9 +430,11 @@ def test_simulate_with_a_bad_window_writes_no_output_directory(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv, message", [
     (["run", "--policy", "softmax", "--tau", "1", "2", "3"], "expected 2 temperatures, got 3"),
+    (["run", "--tau", "1", "2", "3"], "expected 2 temperatures, got 3"),
     (["run", "--policy", "softmax", "--tau", "-1"], "softmax temperatures must be positive"),
+    (["run", "--policy", "softmax", "--tau", "nan"], "softmax temperatures must be positive"),
     (["bounds", "--tol", "-1"], "tol must be positive"),
-], ids=["run-tau-count", "run-tau-sign", "bounds-tol"])
+], ids=["run-tau-count", "run-greedy-tau-count", "run-tau-sign", "run-tau-nan", "bounds-tol"])
 def test_a_bad_run_argument_writes_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert main([argv[0], SPEC, "--alpha", "0.9", *argv[1:], "--out", str(out)]) == 1

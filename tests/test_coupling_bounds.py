@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from eee.chain_analysis import chain_diagnostics, uniform_strategy
+from eee.chain_analysis import uniform_strategy
 from eee.coupling_bounds import (
     CouplingReport,
     compute_bounds,
@@ -21,11 +21,13 @@ from eee.coupling_bounds import (
 )
 from eee.game_model import GameSpec, SpecError
 
+from conftest import diagnostics_at
+
 
 @pytest.fixture(scope="module")
 def ex1_diag(ex1_spec, ex1_greedy_run):
     trace, _ = ex1_greedy_run
-    return chain_diagnostics(ex1_spec, trace.final_sigma)
+    return diagnostics_at(ex1_spec, trace.final_sigma)
 
 
 def test_row_sum_norm_matches_double_loop():
@@ -145,7 +147,7 @@ def test_perturbation_coefficient_needs_positive_mass(ex1_spec, ex1_diag):
 
 def test_model_bound_vanishes_without_coupling(ex1_family):
     spec = ex1_family.at(0.0)
-    diag = chain_diagnostics(spec, uniform_strategy(spec))
+    diag = diagnostics_at(spec, uniform_strategy(spec))
     assert model_perturbation_bound(spec, diag, 1.0) == (0.0, 0.0)
 
 
@@ -171,7 +173,7 @@ def test_model_bound_is_coefficient_times_lambda(ex1_spec, ex1_diag):
 
 def test_contraction_reduces_to_discount_without_coupling(ex1_family):
     spec = ex1_family.at(0.0)
-    diag = chain_diagnostics(spec, uniform_strategy(spec))
+    diag = diagnostics_at(spec, uniform_strategy(spec))
     rho = contraction_factor(spec, diag, coupling_value(spec))
     assert rho == pytest.approx(0.7, abs=1e-15)
 
@@ -189,7 +191,7 @@ def test_contraction_monotone_in_lambda(ex1_spec, ex1_diag):
 
 def test_margin_condition_hand_cases(ex1_family):
     spec = ex1_family.at(0.0)
-    diag = chain_diagnostics(spec, uniform_strategy(spec))
+    diag = diagnostics_at(spec, uniform_strategy(spec))
     c = coupling_value(spec)
     assert margin_condition(spec, diag, c, (1.0, 1.0)) == (True, True)
     assert margin_condition(spec, diag, c, 0.0) == (False, False)

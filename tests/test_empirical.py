@@ -24,7 +24,7 @@ from eee.empirical import (
 )
 from eee.game_model import AgentSpec, GameSpec, SpecError, build_example1
 
-from conftest import random_game, random_strategy, shaped_game, sigma_star, signal_only_game
+from conftest import permuted_game, random_game, random_strategy, shaped_game, sigma_star, signal_only_game
 
 NO_STEPS = np.empty(0, dtype=np.int64)
 
@@ -421,9 +421,9 @@ def test_the_byte_check_charges_the_rows_and_the_successor_table(ex1_spec, monke
 
 
 def test_rows_are_freed_before_the_window_is_decoded():
-    # the decoded window (one int64 array per state and outcome axis, 17 here)
-    # must not stack on top of the outcome rows; a view of the last block kept
-    # alive would hold all of them
+    # the counting step's two int64 arrays as long as the window must not stack
+    # on top of the outcome rows; a view of the last block kept alive would
+    # hold all of them
     spec, sigma = n1458_shaped_game()
     horizon, rows_bytes = 20_000, 8 * 1458 * 3456
     tracemalloc.start()
@@ -435,13 +435,20 @@ def test_rows_are_freed_before_the_window_is_decoded():
     assert peak < rows_bytes + 3 * 8 * horizon + 2**20
 
 
-def permuted_game(spec, sigma, perm):
-    """The same game with agent perm[j] as agent j."""
-    n = spec.n_agents
-    env = spec.env_kernels.reshape(*spec.action_dims, spec.n_env, spec.n_env)
-    env = env.transpose(*perm, n, n + 1).reshape(spec.env_kernels.shape)
-    permuted = GameSpec(n_env=spec.n_env, env_kernels=env, agents=tuple(spec.agents[p] for p in perm))
-    return permuted, [sigma[p] for p in perm]
+def test_counting_holds_two_window_arrays_beside_the_trajectory(ex1_spec):
+    # the uniforms, states and outcomes of every step, then one counting key and
+    # one joint signal per window step: 5 int64 or float arrays as long as the
+    # horizon, where decoding every state and outcome axis of the window took 16
+    sigma = sigma_star(ex1_spec)
+    simulate(ex1_spec, sigma, horizon=100, seed=7, burn_in=0)  # first-call allocations
+    horizon = 20_000
+    tracemalloc.start()
+    try:
+        simulate(ex1_spec, sigma, horizon=horizon, seed=7, burn_in=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * horizon
 
 
 @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 0, 1)])
@@ -452,7 +459,7 @@ def test_permuting_the_agents_permutes_the_model_and_the_block_rows(perm):
     for seed in range(10):
         spec = random_game(60 + seed, n_agents=n, max_dim=2)
         sigma = random_strategy(np.random.default_rng(seed), spec)
-        p_spec, p_sigma = permuted_game(spec, sigma, perm)
+        p_spec, p_sigma = permuted_game(spec, perm), [sigma[p] for p in perm]
         mu, p_mu = consistent_model(spec, sigma).mu, consistent_model(p_spec, p_sigma).mu
         for j in range(n):
             assert np.max(np.abs(p_mu[j] - mu[perm[j]])) <= 1e-12

@@ -10,7 +10,7 @@ import pytest
 
 from eee import learning
 from eee.chain_analysis import ConsistentModel, VanishingMassError, consistent_model
-from eee.game_model import AgentSpec, GameSpec, SpecError
+from eee.game_model import AgentSpec, GameSpec, SpecError, with_temperatures
 from eee.learning import (
     IterationTrace,
     PolicyRule,
@@ -31,7 +31,7 @@ from eee.learning import (
     zeros_q,
 )
 
-from conftest import oracle_softmax_cycle_scan, random_game, random_strategy, sigma_star
+from conftest import oracle_softmax_cycle_scan, permuted_game, random_game, random_strategy, sigma_star
 
 
 def single_state_q(values):
@@ -87,11 +87,20 @@ def test_softmax_shift_invariance():
     assert max_metric_strategy(a, b) < 1e-12
 
 
-def test_softmax_rejects_bad_temperature():
-    with pytest.raises(SpecError):
-        PolicyRule("softmax", tau=(0.0,))
+def test_softmax_rejects_bad_temperature(ex1_spec):
+    with pytest.raises(SpecError, match="softmax temperatures must be positive"):
+        with_temperatures(ex1_spec, (0.0,))
+    with pytest.raises(SpecError, match="expected 2 temperatures, got 3"):
+        with_temperatures(ex1_spec, (1.0, 2.0, 3.0))
     with pytest.raises(SpecError):
         PolicyRule("invalid")
+
+
+def test_temperatures_replace_the_spec_s_per_agent():
+    spec = random_game(4, n_agents=3, max_dim=2)
+    assert [ag.temperature for ag in with_temperatures(spec, 0.5).agents] == [0.5] * 3
+    assert [ag.temperature for ag in with_temperatures(spec, (1, 0.5, 0.25)).agents] == [1.0, 0.5, 0.25]
+    assert with_temperatures(spec, None) is spec
 
 
 def test_bellman_zero_game_fixed_point():
@@ -273,7 +282,8 @@ REPLAY_CASES = [
 @pytest.mark.parametrize("game, key, kind, tau, max_iter, outcome", REPLAY_CASES)
 def test_detect_cycle_reproduces_the_live_report(ex1_family, game, key, kind, tau, max_iter, outcome):
     spec = ex1_family.at(key) if game == "ex1" else random_game(key, max_dim=2, coupling=1.0)
-    trace, report = q_value_iteration(spec, PolicyRule(kind, tau=tau), max_iter=max_iter)
+    spec = with_temperatures(spec, tau)
+    trace, report = q_value_iteration(spec, PolicyRule(kind), max_iter=max_iter)
     assert report.outcome == outcome
     assert detect_cycle(trace) == (report if outcome == "cycle" else None)
     assert all(step.dq == max_metric_q(bellman_update(step.q, step.mu, spec), step.q) for step in trace.steps)
@@ -454,16 +464,35 @@ def test_verify_requires_deterministic_strategy(ex1_spec):
 
 
 def test_softmax_fixed_point_verifies(ex1_spec):
-    trace, report = q_value_iteration(ex1_spec, PolicyRule("softmax", tau=1.0))
+    spec = with_temperatures(ex1_spec, 1.0)
+    trace, report = q_value_iteration(spec, PolicyRule("softmax"))
     assert report.outcome == "converged"
-    check = verify_approx_eee(ex1_spec, trace.final_sigma, trace.final_mu, tau=1.0, tol=1e-6)
+    check = verify_approx_eee(spec, trace.final_sigma, trace.final_mu, tol=1e-6)
     assert check.ok
     assert check.optimality_residual < 1e-6
     assert check.consistency_residual < 1e-6
 
 
+@pytest.mark.parametrize("perm", [(1, 0, 2), (1, 2, 0)])
+def test_permuting_the_agents_and_their_temperatures_permutes_the_softmax_run(perm):
+    # perms that do not commute with reversing the agents, so temperatures
+    # applied in the wrong agent order show
+    taus = (1.0, 0.5, 0.25)
+    for seed in range(5):
+        spec = random_game(seed, n_agents=3, max_dim=2)
+        trace, report = q_value_iteration(with_temperatures(spec, taus), PolicyRule("softmax"))
+        p_spec = with_temperatures(permuted_game(spec, perm), [taus[p] for p in perm])
+        p_trace, p_report = q_value_iteration(p_spec, PolicyRule("softmax"))
+        assert (p_report.outcome, p_report.at_iter) == (report.outcome, report.at_iter)
+        for got, want in [(p_trace.final_q.tables, trace.final_q.tables),
+                          (p_trace.final_sigma.probs, trace.final_sigma.probs),
+                          (p_trace.final_mu.mu, trace.final_mu.mu)]:
+            for j, p in enumerate(perm):
+                assert np.max(np.abs(got[j] - want[p])) <= 1e-12
+
+
 def test_large_temperature_flattens_fixed_point(ex1_spec):
-    trace, report = q_value_iteration(ex1_spec, PolicyRule("softmax", tau=1e6))
+    trace, report = q_value_iteration(with_temperatures(ex1_spec, 1e6), PolicyRule("softmax"))
     assert report.outcome == "converged"
     for p in trace.final_sigma.probs:
         assert np.max(np.abs(p - 0.5)) < 1e-4
